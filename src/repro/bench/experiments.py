@@ -1031,25 +1031,23 @@ def differential(
 
     A ~million-object population (default 10,000 compound structures of
     101 objects each) is mutated at ~1% object density and committed
-    through three tiers on identical modification states:
+    through two tiers on identical modification states:
 
     - ``incremental``: the paper's full flag walk (the baseline),
-    - ``packed``: the same walk recording through the batched
-      ``record_packed`` codec,
     - ``differential``: the block tier skipping clean blocks without
-      traversal, over the packed codec.
+      traversal, running the same flag walk inside dirty blocks.
 
-    Every epoch the packed and differential tiers produce is asserted
-    byte-identical to the baseline's. Two honesty rows bound the claim:
-    a *scattered* workload (same density, one touched object per
-    structure) dirties every block and collapses the differential win to
-    the packed win, and a hash-``skip`` row shows the write-back trade
-    (restore-equivalent, not byte-identical).
+    Every epoch the differential tier produces is asserted byte-identical
+    to the baseline's. A *scattered* honesty row (same density, one
+    touched object per structure) dirties every block and bounds the
+    claim. Each (tier, workload) session records into its own
+    :class:`~repro.obs.metrics.MetricsRegistry`, embedded in the report.
     """
     from repro.core.blocks import BlockTier
     from repro.core.checkpoint import reset_flags
+    from repro.obs.metrics import MetricsRegistry
     from repro.runtime import CheckpointSession
-    from repro.runtime.strategy import DEFAULT_STRATEGIES, DifferentialStrategy
+    from repro.runtime.strategy import DEFAULT_STRATEGIES
     from repro.synthetic.structures import build_structures, list_field_name
     from repro.vm.machine import MeteredMachine
 
@@ -1088,18 +1086,12 @@ def differential(
         for compound in roots:
             getattr(compound, field).v0 = trial * 7 + 3
 
-    def writeback(trial: int) -> None:
-        # Flag writes that do not change any value (the hash-skip trade).
-        start = (trial * cluster) % count
-        for compound in roots[start : start + cluster]:
-            for list_index in range(num_lists):
-                node = getattr(compound, list_field_name(list_index))
-                while node is not None:
-                    node.v0 = node.v0
-                    node = node.next
-
-    def run_tier(strategy, mutate):
-        session = CheckpointSession(roots=roots, strategy=strategy)
+    def run_tier(name: str, workload: str, mutate):
+        strategy = DEFAULT_STRATEGIES.create(name)
+        registry = MetricsRegistry()
+        session = CheckpointSession(
+            roots=roots, strategy=strategy, metrics=registry
+        )
         session.commit()  # baseline: partitions the tier, clears flags
         walls, datas = [], []
         for trial in range(trials):
@@ -1107,7 +1099,8 @@ def differential(
             committed = session.commit()
             walls.append(committed.wall_seconds)
             datas.append(committed.data)
-        return min(walls), datas, getattr(strategy, "last_stats", None)
+        result.metrics[f"{name}/{workload}"] = registry.snapshot()
+        return min(walls), datas, strategy
 
     result = ExperimentResult(
         "differential",
@@ -1124,80 +1117,35 @@ def differential(
         ),
     )
 
-    def block_cell(stats) -> str:
-        if not stats:
-            return "-"
-        return f"{stats['walked']}/{stats['skipped']}"
-
-    # -- clustered: the regime the tier exists for -------------------------
-    base_wall, base_datas, _ = run_tier(
-        DEFAULT_STRATEGIES.create("incremental"), clustered
-    )
-    result.add_row(
-        "incremental",
-        "clustered 1%",
-        round(base_wall, 4),
-        1.0,
-        megabytes(len(base_datas[-1])),
-        "-",
-        "(reference)",
-    )
-    clustered_speedups = {}
-    for name in ("packed", "differential", "differential-verify"):
-        wall, datas, stats = run_tier(DEFAULT_STRATEGIES.create(name), clustered)
-        identical = datas == base_datas
-        clustered_speedups[name] = base_wall / wall
+    speedups = {}
+    # clustered: the regime the tier exists for; scattered: the honesty
+    # row, same density with every block dirty
+    workloads = (("clustered 1%", clustered), ("scattered 1%", scattered))
+    for workload, mutate in workloads:
+        base_wall, base_datas, _ = run_tier("incremental", workload, mutate)
         result.add_row(
-            name,
-            "clustered 1%",
+            "incremental",
+            workload,
+            round(base_wall, 4),
+            1.0,
+            megabytes(len(base_datas[-1])),
+            "-",
+            "(reference)",
+        )
+        wall, datas, strategy = run_tier("differential", workload, mutate)
+        stats = strategy.last_stats
+        speedups[workload] = base_wall / wall
+        result.add_row(
+            "differential",
+            workload,
             round(wall, 4),
-            round(base_wall / wall, 2),
+            round(speedups[workload], 2),
             megabytes(len(datas[-1])),
-            block_cell(stats),
-            "yes" if identical else "NO",
+            f"{stats['walked']}/{stats['skipped']}",
+            "yes" if datas == base_datas else "NO",
         )
 
-    # -- hash-skip: write-back elision (restore-equivalent) ----------------
-    wall, datas, stats = run_tier(
-        DifferentialStrategy(hash_mode="skip"), writeback
-    )
-    result.add_row(
-        "differential-skip",
-        "write-back",
-        round(wall, 4),
-        "-",
-        megabytes(len(datas[-1])),
-        block_cell(stats),
-        "restore-equivalent",
-    )
-
-    # -- scattered honesty row: same density, every block dirty ------------
-    scat_wall, scat_datas, _ = run_tier(
-        DEFAULT_STRATEGIES.create("incremental"), scattered
-    )
-    result.add_row(
-        "incremental",
-        "scattered 1%",
-        round(scat_wall, 4),
-        1.0,
-        megabytes(len(scat_datas[-1])),
-        "-",
-        "(reference)",
-    )
-    wall, datas, stats = run_tier(
-        DEFAULT_STRATEGIES.create("differential"), scattered
-    )
-    result.add_row(
-        "differential",
-        "scattered 1%",
-        round(wall, 4),
-        round(scat_wall / wall, 2),
-        megabytes(len(datas[-1])),
-        block_cell(stats),
-        "yes" if datas == scat_datas else "NO",
-    )
-
-    # -- simulated op-count speedups (abstract machine, Harissa) -----------
+    # -- simulated op-count speedup (abstract machine, Harissa) ------------
     sample = min(400, count)
     sample_cluster = max(1, sample // 100)
     sample_roots = roots[:sample]
@@ -1217,19 +1165,14 @@ def differential(
         if kind == "incremental":
             for root in sample_roots:
                 machine.run_incremental(root)
-        elif kind == "packed":
-            for root in sample_roots:
-                machine.run_packed(root)
         else:
             machine.run_differential(tier)
         return machine.counts
 
     sim_base = HARISSA.seconds(sim_counts("incremental"))
-    sim_packed = HARISSA.seconds(sim_counts("packed"))
     sim_diff = HARISSA.seconds(sim_counts("differential"))
     result.add_note(
-        f"simulated (Harissa, {sample}-structure sample): packed "
-        f"{sim_base / sim_packed:.2f}x, differential "
+        f"simulated (Harissa, {sample}-structure sample): differential "
         f"{sim_base / sim_diff:.2f}x over the incremental flag walk"
     )
     result.add_note(
@@ -1239,15 +1182,13 @@ def differential(
         f"{cluster * num_lists * list_length / total_objects:.2%})"
     )
     result.add_note(
-        "every packed/differential epoch was asserted byte-identical to "
-        "the incremental baseline on the same modification state; the "
-        "skip row elides re-written content and is restore-equivalent "
-        "only"
+        "every differential epoch was asserted byte-identical to the "
+        "incremental baseline on the same modification state"
     )
-    if clustered_speedups["differential"] < 5.0:
+    if speedups["clustered 1%"] < 5.0:
         result.add_note(
             "FAILED: differential clustered speedup "
-            f"{clustered_speedups['differential']:.2f}x below the 5x target"
+            f"{speedups['clustered 1%']:.2f}x below the 5x target"
         )
     return result
 

@@ -34,61 +34,22 @@ Generation counters wrap at 2**32 (:data:`~repro.core.info.GENERATION_MASK`)
 to stay metadata-representable; the dirty *bit*, which cannot wrap, makes
 the clean test immune to a counter that wraps exactly back to its
 committed value.
-
-Content hashes
---------------
-
-Each block can additionally carry a ``(length, digest)`` fingerprint of
-its members' full wire content:
-
-- ``hash_mode="verify"``: generation-clean blocks are re-fingerprinted at
-  commit; a mismatch means some mutation bypassed the flag protocol, and
-  the tier *heals* by re-flagging the whole block (over-approximation,
-  never silent loss).
-- ``hash_mode="skip"``: flag-dirty blocks whose fingerprint is unchanged
-  (e.g. a value written back to its previous state) are skipped and their
-  flags cleared — a *restore-equivalent* but not byte-identical mode that
-  trades hashing CPU for epoch bytes, exactly Keller's trade.
-
-The fingerprint comparison always includes the content *length*, so even
-a colliding digest cannot mask a size-changing mutation (the
-hash-collision-fallback regression test pins this).
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.errors import CheckpointError
 from repro.core.info import TOPOLOGY_CLOCK
-from repro.core.streams import DataOutputStream
-
-HASH_OFF = "off"
-HASH_VERIFY = "verify"
-HASH_SKIP = "skip"
-HASH_MODES = (HASH_OFF, HASH_VERIFY, HASH_SKIP)
 
 DEFAULT_BLOCK_SIZE = 64
-
-
-def content_fingerprint(data: bytes) -> str:
-    """Digest half of a block fingerprint (monkeypatched by collision tests)."""
-    return hashlib.sha256(data).hexdigest()
 
 
 class Block:
     """One contiguous run of roots plus its dirtiness metadata."""
 
-    __slots__ = (
-        "index",
-        "roots",
-        "generation",
-        "committed_generation",
-        "dirty",
-        "content_length",
-        "content_digest",
-    )
+    __slots__ = ("index", "roots", "generation", "committed_generation", "dirty")
 
     def __init__(self, index: int, roots: Sequence) -> None:
         self.index = index
@@ -99,9 +60,6 @@ class Block:
         self.committed_generation = 0
         #: wrap-proof companion of the generation comparison
         self.dirty = True
-        #: fingerprint of the members' full wire content (hash modes only)
-        self.content_length = -1
-        self.content_digest: Optional[str] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "dirty" if self.dirty else "clean"
@@ -114,25 +72,15 @@ class Block:
 class BlockTier:
     """Partition of a root population into generation-counted blocks."""
 
-    def __init__(
-        self,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        hash_mode: str = HASH_OFF,
-    ) -> None:
+    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         if block_size < 1:
             raise CheckpointError(f"block_size must be >= 1, got {block_size}")
-        if hash_mode not in HASH_MODES:
-            raise CheckpointError(
-                f"hash_mode must be one of {HASH_MODES}, got {hash_mode!r}"
-            )
         self.block_size = block_size
-        self.hash_mode = hash_mode
         self.blocks: List[Block] = []
         self._roots: Optional[List] = None
         self._topology_mark: Optional[int] = None
-        #: cumulative counters, exposed through strategy/bench reporting
+        #: cumulative count, exposed through strategy/bench reporting
         self.repartitions = 0
-        self.hash_fallbacks = 0
 
     # -- partitioning ------------------------------------------------------
 
@@ -178,9 +126,6 @@ class BlockTier:
         self._roots = roots
         self._topology_mark = TOPOLOGY_CLOCK.value
         self.repartitions += 1
-        if self.hash_mode != HASH_OFF:
-            for block in self.blocks:
-                self.refresh_fingerprint(block)
 
     @staticmethod
     def _claim(root, block: Block, seen: set) -> None:
@@ -208,59 +153,10 @@ class BlockTier:
         block.committed_generation = block.generation
         block.dirty = False
 
-    # -- content fingerprints ----------------------------------------------
-
-    def members(self, block: Block) -> Iterator:
-        """The block's members in baseline traversal (preorder) order."""
-        seen = set()
-        for root in block.roots:
-            stack = [root]
-            while stack:
-                obj = stack.pop()
-                info = obj._ckpt_info
-                if info.object_id in seen:
-                    continue
-                seen.add(info.object_id)
-                if info.block is block:
-                    yield obj
-                stack.extend(reversed(obj.children()))
-
-    def content_of(self, block: Block) -> bytes:
-        """The members' full wire content (id | serial | record, preorder)."""
-        out = DataOutputStream()
-        for obj in self.members(block):
-            out.write_int32(obj._ckpt_info.object_id)
-            out.write_int32(obj._ckpt_serial)
-            obj.record(out)
-        return out.getvalue()
-
-    def fingerprint_of(self, block: Block) -> Tuple[int, str]:
-        data = self.content_of(block)
-        return len(data), content_fingerprint(data)
-
-    def refresh_fingerprint(self, block: Block) -> None:
-        block.content_length, block.content_digest = self.fingerprint_of(block)
-
-    def fingerprint_unchanged(self, block: Block) -> bool:
-        """Compare content against the stored fingerprint (length first)."""
-        if block.content_digest is None:
-            return False
-        length, digest = self.fingerprint_of(block)
-        return length == block.content_length and digest == block.content_digest
-
-    def heal(self, block: Block) -> int:
-        """Re-flag every member (verify-mode response to a hash mismatch)."""
-        count = 0
-        for obj in self.members(block):
-            obj._ckpt_info.modified = True
-            count += 1
-        self.hash_fallbacks += 1
-        return count
-
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self) -> None:
-        """Forget the partition (e.g. after a session restore/fork)."""
+        """Forget the partition; the next commit re-partitions, all dirty."""
         self.blocks = []
         self._roots = None
         self._topology_mark = None
@@ -270,25 +166,23 @@ class BlockTier:
 
         :meth:`~repro.runtime.session.CheckpointSession.measure` runs a
         live strategy and must leave no trace; pair with
-        :meth:`restore_state`.
+        :meth:`restore_state`. The block list itself is part of the
+        state: a trial commit that re-partitioned replaced it.
         """
-        return [
-            (
-                block.generation,
-                block.committed_generation,
-                block.dirty,
-                block.content_length,
-                block.content_digest,
-            )
+        return self.blocks, [
+            (block.generation, block.committed_generation, block.dirty)
             for block in self.blocks
         ]
 
     def restore_state(self, state) -> None:
-        for block, saved in zip(self.blocks, state):
-            (
-                block.generation,
-                block.committed_generation,
-                block.dirty,
-                block.content_length,
-                block.content_digest,
-            ) = saved
+        blocks, counters = state
+        if self.blocks is not blocks:
+            # The trial re-partitioned: the saved counters describe blocks
+            # that no longer exist, and copying them onto the new ones by
+            # index could mark blocks holding flagged objects clean.
+            # Forget the partition instead; the next commit re-partitions
+            # with every block dirty.
+            self.reset()
+            return
+        for block, saved in zip(blocks, counters):
+            block.generation, block.committed_generation, block.dirty = saved

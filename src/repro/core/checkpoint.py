@@ -30,7 +30,7 @@ from repro.core.checkpointable import (
     reflective_record,
 )
 from repro.core.errors import CycleError
-from repro.core.streams import DataOutputStream, PackedEncoder
+from repro.core.streams import DataOutputStream
 
 
 class Checkpoint:
@@ -157,41 +157,6 @@ class IterativeCheckpoint(Checkpoint):
                 current.record(out)
                 info.modified = False
             stack.extend(reversed(current.children()))
-
-
-class PackedCheckpoint:
-    """Incremental driver writing through the packed codec.
-
-    The traversal is exactly :class:`Checkpoint`'s (paper Figure 1);
-    only the encoding differs: each modified object's entry is emitted by
-    its generated ``record_packed`` method — batched ``struct.pack_into``
-    calls against a :class:`~repro.core.streams.PackedEncoder`'s
-    preallocated buffer — instead of per-field ``DataOutputStream``
-    method calls. The bytes are identical to :class:`Checkpoint`'s, as
-    the equivalence suite pins.
-    """
-
-    def __init__(self, enc: Optional[PackedEncoder] = None) -> None:
-        self.enc = enc if enc is not None else PackedEncoder()
-
-    def checkpoint(self, obj: Checkpointable) -> None:
-        """Traverse ``obj``, recording every modified object reachable from it."""
-        info = obj._ckpt_info
-        if info.modified:
-            enc = self.enc
-            enc.put_header(info.object_id, obj._ckpt_serial)
-            obj.record_packed(enc)
-            info.modified = False
-        obj.fold(self)
-
-    def getvalue(self) -> bytes:
-        """The bytes of the checkpoint built so far."""
-        return self.enc.getvalue()
-
-    @property
-    def size(self) -> int:
-        """Bytes written so far."""
-        return self.enc.size
 
 
 def reset_flags(root: Checkpointable) -> None:

@@ -32,14 +32,12 @@ with the payload encoding each field in schema order:
 
 from __future__ import annotations
 
-import struct
 from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.core.errors import SchemaError
 from repro.core.fields import FieldSpec, TrackedList, _FieldDescriptor
 from repro.core.info import CheckpointInfo
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
-from repro.core.streams import DataOutputStream
 
 _WRITERS = {
     "int": "out.write_int32",
@@ -103,108 +101,6 @@ def _generate_fold(schema: List[FieldSpec]) -> str:
     return "\n".join(lines + body)
 
 
-#: fixed-size wire pieces the packed codec can coalesce into one
-#: ``struct.pack_into`` call: format char + byte size per scalar kind
-_PACK_FIXED = {"int": ("i", 4), "float": ("d", 8), "bool": ("?", 1)}
-
-
-def _generate_record_packed(schema: List[FieldSpec]) -> str:
-    """Generate ``record_packed``: the batched ``pack_into`` twin of ``record``.
-
-    Runs of consecutive fixed-size fields (int/float/bool scalars and
-    child ids) become a single ``struct.pack_into`` with a fused format
-    string; strings and lists are emitted through the
-    :class:`~repro.core.streams.PackedEncoder` helpers. The bytes
-    produced are exactly those of the generated ``record`` — the
-    equivalence suite pins this per class.
-    """
-    lines = ["def record_packed(self, enc):"]
-    if not schema:
-        lines.append("    pass")
-        return "\n".join(lines)
-    pending: List[tuple] = []  # (fmt char, size, setup lines, value expr)
-    temp_count = 0
-
-    def flush() -> None:
-        if not pending:
-            return
-        fmt = "<" + "".join(entry[0] for entry in pending)
-        size = sum(entry[1] for entry in pending)
-        for entry in pending:
-            lines.extend(entry[2])
-        exprs = ", ".join(entry[3] for entry in pending)
-        lines.append(f"    buf = enc.ensure({size})")
-        lines.append("    _p = enc.pos")
-        lines.append(f"    _pack_into({fmt!r}, buf, _p, {exprs})")
-        lines.append(f"    enc.pos = _p + {size}")
-        pending.clear()
-
-    for field in schema:
-        slot = f"self.{field.slot}"
-        if field.role == "scalar":
-            if field.kind == "str":
-                flush()
-                lines.append(f"    enc.put_str({slot})")
-            else:
-                char, size = _PACK_FIXED[field.kind]
-                pending.append((char, size, [], slot))
-        elif field.role == "child":
-            temp = f"_c{temp_count}"
-            temp_count += 1
-            pending.append(
-                (
-                    "i",
-                    4,
-                    [f"    {temp} = {slot}"],
-                    f"({temp}._ckpt_info.object_id if {temp} is not None else -1)",
-                )
-            )
-        elif field.role == "scalar_list":
-            flush()
-            lines.append(f"    _v = {slot}._items")
-            lines.append("    _n = len(_v)")
-            if field.kind == "str":
-                lines.append("    enc.put_int32(_n)")
-                lines.append("    for _e in _v:")
-                lines.append("        enc.put_str(_e)")
-            else:
-                char, size = _PACK_FIXED[field.kind]
-                lines.append(f"    buf = enc.ensure(4 + {size} * _n)")
-                lines.append("    _p = enc.pos")
-                lines.append("    _INT32.pack_into(buf, _p, _n)")
-                lines.append("    if _n:")
-                lines.append(f"        _pack_into('<%d{char}' % _n, buf, _p + 4, *_v)")
-                lines.append(f"    enc.pos = _p + 4 + {size} * _n")
-        elif field.role == "child_list":
-            flush()
-            lines.append(f"    _v = {slot}._items")
-            lines.append("    _n = len(_v)")
-            lines.append("    buf = enc.ensure(4 + 4 * _n)")
-            lines.append("    _p = enc.pos")
-            lines.append("    _INT32.pack_into(buf, _p, _n)")
-            lines.append("    if _n:")
-            lines.append(
-                "        _pack_into('<%di' % _n, buf, _p + 4, "
-                "*[_c._ckpt_info.object_id for _c in _v])"
-            )
-            lines.append("    enc.pos = _p + 4 + 4 * _n")
-        else:  # pragma: no cover - guarded by field constructors
-            raise SchemaError(f"unknown field role {field.role!r}")
-    flush()
-    return "\n".join(lines)
-
-
-# When the class body supplies a hand-written ``record``, its bytes are
-# authoritative: the packed path must reproduce them, so it routes through
-# that method instead of the schema.
-_RECORD_PACKED_FALLBACK = (
-    "def record_packed(self, enc):\n"
-    "    _tmp = _DataOutputStream()\n"
-    "    self.record(_tmp)\n"
-    "    enc.put_bytes(_tmp.getvalue())"
-)
-
-
 def _generate_restore_local(schema: List[FieldSpec]) -> str:
     lines = ["def restore_local(self, inp, table):"]
     if not schema:
@@ -259,12 +155,7 @@ _GENERATORS = {
 
 
 def _compile_method(cls_name: str, name: str, source: str):
-    namespace: Dict[str, Any] = {
-        "TrackedList": TrackedList,
-        "_pack_into": struct.pack_into,
-        "_INT32": struct.Struct("<i"),
-        "_DataOutputStream": DataOutputStream,
-    }
+    namespace: Dict[str, Any] = {"TrackedList": TrackedList}
     code = compile(source, f"<ckpt-gen:{cls_name}.{name}>", "exec")
     exec(code, namespace)
     function = namespace[name]
@@ -322,23 +213,6 @@ class Checkpointable:
             source = generator(cls._ckpt_schema)
             setattr(cls, method_name, _compile_method(cls.__name__, method_name, source))
 
-        if "record_packed" not in vars(cls):
-            # Schema-driven packed codegen is only valid when `record`
-            # itself is the schema-generated method; a hand-written
-            # `record` is authoritative, so the packed path replays it.
-            record_fn = vars(cls).get("record")
-            if record_fn is not None and not getattr(
-                record_fn, "__ckpt_generated__", False
-            ):
-                source = _RECORD_PACKED_FALLBACK
-            else:
-                source = _generate_record_packed(cls._ckpt_schema)
-            setattr(
-                cls,
-                "record_packed",
-                _compile_method(cls.__name__, "record_packed", source),
-            )
-
     def __init__(self, **field_values: Any) -> None:
         self._ckpt_info = CheckpointInfo()
         self._init_defaults()
@@ -358,15 +232,6 @@ class Checkpointable:
 
     def record(self, out) -> None:  # pragma: no cover - replaced per class
         """Record the complete local state into ``out`` (generated)."""
-        raise NotImplementedError
-
-    def record_packed(self, enc) -> None:  # pragma: no cover - replaced
-        """Record the local state into a :class:`PackedEncoder` (generated).
-
-        Byte-identical to :meth:`record`, but written with batched
-        ``struct.pack_into`` calls against the encoder's preallocated
-        buffer instead of per-field stream method calls.
-        """
         raise NotImplementedError
 
     def fold(self, ckpt) -> None:  # pragma: no cover - replaced per class

@@ -46,7 +46,10 @@ FULL = "full"
 INCREMENTAL = "incremental"
 
 _MAGIC = b"RCKP"
-_VERSION = 1
+#: epoch frame format: 1 = CRC over the payload only, 2 = CRC also over
+#: the kind byte and the length field (see :func:`frame_crc`)
+_VERSION = 2
+_SUPPORTED_FRAMES = (1, _VERSION)
 #: manifest format: 1 = classes only (implied-linear lineage),
 #: 2 = classes + explicit epoch lineage map
 MANIFEST_VERSION = 2
@@ -58,6 +61,26 @@ _KIND_NAMES = {0: FULL, 1: INCREMENTAL}
 _COMPRESSED_CODES = {FULL: 2, INCREMENTAL: 3}
 _COMPRESSED_NAMES = {2: FULL, 3: INCREMENTAL}
 _HEADER = struct.Struct("<4sBBII")  # magic, version, kind, length, crc32
+_KIND_LENGTH = struct.Struct("<BI")
+
+
+def frame_crc(version: int, kind_code: int, payload: bytes) -> int:
+    """The CRC-32 an epoch frame of format ``version`` carries.
+
+    Version 2 seeds the payload CRC with the kind byte and the length
+    field, so a flipped kind byte cannot pass for a healthy epoch of the
+    other kind. Version-1 frames covered the payload only.
+    """
+    if version == 1:
+        return zlib.crc32(payload)
+    seed = zlib.crc32(_KIND_LENGTH.pack(kind_code, len(payload)))
+    return zlib.crc32(payload, seed)
+
+
+def _frame_header(kind_code: int, payload: bytes) -> bytes:
+    """The header of a current-version frame around ``payload``."""
+    crc = frame_crc(_VERSION, kind_code, payload)
+    return _HEADER.pack(_MAGIC, _VERSION, kind_code, len(payload), crc)
 
 
 class Epoch(NamedTuple):
@@ -503,9 +526,7 @@ class FileStore(CheckpointStore):
             else:
                 payload = plain
                 code = _KIND_CODES[kind]
-            header = _HEADER.pack(
-                _MAGIC, _VERSION, code, len(payload), zlib.crc32(payload)
-            )
+            header = _frame_header(code, payload)
             path = self._epoch_path(index)
             tmp_path = path + ".tmp"
             try:
@@ -743,9 +764,7 @@ class FileStore(CheckpointStore):
             else:
                 payload = plain
                 code = _KIND_CODES[epoch.kind]
-            header = _HEADER.pack(
-                _MAGIC, _VERSION, code, len(payload), zlib.crc32(payload)
-            )
+            header = _frame_header(code, payload)
             tmp_path = path + ".tmp"
             try:
                 with open(tmp_path, "wb") as handle:
@@ -829,10 +848,12 @@ class FileStore(CheckpointStore):
             return None
         magic, version, kind_code, length, crc = _HEADER.unpack_from(raw)
         known = kind_code in _KIND_NAMES or kind_code in _COMPRESSED_NAMES
-        if magic != _MAGIC or version != _VERSION or not known:
+        if magic != _MAGIC or version not in _SUPPORTED_FRAMES or not known:
             return None
         payload = raw[_HEADER.size : _HEADER.size + length]
-        if len(payload) != length or zlib.crc32(payload) != crc:
+        if len(payload) != length:
+            return None
+        if frame_crc(version, kind_code, payload) != crc:
             return None
         if kind_code in _COMPRESSED_NAMES:
             try:

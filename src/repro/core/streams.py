@@ -26,8 +26,6 @@ from repro.core.errors import RestoreError, SerializationError
 _INT32 = struct.Struct("<i")
 _INT64 = struct.Struct("<q")
 _FLOAT64 = struct.Struct("<d")
-_HEADER = struct.Struct("<ii")
-_pack_into = struct.pack_into
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -270,77 +268,3 @@ class DataInputStream:
         """True when every byte has been consumed."""
         return self._pos >= len(self._data)
 
-
-class PackedEncoder:
-    """Preallocated binary buffer written with batched ``struct.pack_into``.
-
-    The packed codec's output target: generated ``record_packed`` methods
-    coalesce runs of fixed-size fields into single ``pack_into`` calls
-    against :attr:`buf` at :attr:`pos`, instead of one
-    :class:`DataOutputStream` method call per field. Producing the exact
-    bytes of the ``write_*`` path is a hard invariant (the runtime
-    byte-equivalence suite pins it).
-
-    The growth discipline: a ``record_packed`` routine calls
-    :meth:`ensure` with the byte count of the next fixed-size run, packs
-    directly into the returned buffer, then advances :attr:`pos` itself.
-    Variable-size pieces go through :meth:`put_str` / :meth:`put_int32`.
-    """
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, capacity: int = 1 << 16) -> None:
-        self.buf = bytearray(max(capacity, 64))
-        self.pos = 0
-
-    def ensure(self, extra: int) -> bytearray:
-        """Grow the buffer so ``extra`` bytes fit at :attr:`pos`."""
-        buf = self.buf
-        need = self.pos + extra
-        if need > len(buf):
-            buf.extend(b"\x00" * max(need - len(buf), len(buf)))
-        return buf
-
-    def put_int32(self, value: int) -> None:
-        buf = self.ensure(4)
-        _INT32.pack_into(buf, self.pos, value)
-        self.pos += 4
-
-    def put_header(self, object_id: int, serial: int) -> None:
-        """The ``int32 id | int32 serial`` prefix of one object entry."""
-        buf = self.ensure(8)
-        _HEADER.pack_into(buf, self.pos, object_id, serial)
-        self.pos += 8
-
-    def put_str(self, value: str) -> None:
-        encoded = value.encode("utf-8")
-        length = len(encoded)
-        _check_str_length(length)
-        buf = self.ensure(4 + length)
-        pos = self.pos
-        _INT32.pack_into(buf, pos, length)
-        buf[pos + 4 : pos + 4 + length] = encoded
-        self.pos = pos + 4 + length
-
-    def put_bytes(self, data: bytes) -> None:
-        length = len(data)
-        buf = self.ensure(length)
-        pos = self.pos
-        buf[pos : pos + length] = data
-        self.pos = pos + length
-
-    @property
-    def size(self) -> int:
-        """Number of bytes written so far."""
-        return self.pos
-
-    def getvalue(self) -> bytes:
-        """An immutable snapshot of the bytes written so far."""
-        return bytes(memoryview(self.buf)[: self.pos])
-
-    def clear(self) -> None:
-        """Reset for reuse; the allocation is retained."""
-        self.pos = 0
-
-    def __len__(self) -> int:
-        return self.pos

@@ -48,9 +48,10 @@ from repro.core.storage import (
     _KIND_NAMES,
     _MAGIC,
     _SUPPORTED_MANIFESTS,
-    _VERSION,
+    _SUPPORTED_FRAMES,
     _implied_lineage,
     FULL,
+    frame_crc,
 )
 from repro.obs.tracer import NULL_TRACER
 
@@ -177,7 +178,7 @@ def _classify_epoch_file(path: str) -> tuple:
     magic, version, kind_code, length, crc = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         return CORRUPT, None, f"bad magic {magic!r}"
-    if version != _VERSION:
+    if version not in _SUPPORTED_FRAMES:
         return CORRUPT, None, f"unknown format version {version}"
     known = kind_code in _KIND_NAMES or kind_code in _COMPRESSED_NAMES
     if not known:
@@ -186,7 +187,7 @@ def _classify_epoch_file(path: str) -> tuple:
     payload = raw[_HEADER.size : _HEADER.size + length]
     if len(payload) < length:
         return TORN, kind, f"payload {len(payload)} of {length} bytes"
-    if zlib.crc32(payload) != crc:
+    if frame_crc(version, kind_code, payload) != crc:
         return CORRUPT, kind, "CRC mismatch"
     if kind_code in _COMPRESSED_NAMES:
         try:

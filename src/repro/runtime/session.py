@@ -480,7 +480,7 @@ class CheckpointSession:
             self._oracle.observe(use, phase=phase or "")
         saved = snapshot_flags(use)
         # Strategies with commit-to-commit state beyond the flags (the
-        # differential tier's block generations and fingerprints) expose
+        # differential tier's block partition and generations) expose
         # snapshot_state/restore_state so a trial run leaves no trace.
         snapshot_state = getattr(strategy, "snapshot_state", None)
         saved_state = snapshot_state() if snapshot_state is not None else None

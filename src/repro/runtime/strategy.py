@@ -27,24 +27,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.blocks import (
-    DEFAULT_BLOCK_SIZE,
-    HASH_OFF,
-    HASH_SKIP,
-    HASH_VERIFY,
-    BlockTier,
-)
+from repro.core.blocks import DEFAULT_BLOCK_SIZE, BlockTier
 from repro.core.checkpoint import (
     CheckingCheckpoint,
     Checkpoint,
     FullCheckpoint,
     IterativeCheckpoint,
-    PackedCheckpoint,
     ReflectiveCheckpoint,
 )
 from repro.core.checkpointable import Checkpointable
 from repro.core.errors import CheckpointError, PatternViolationError
-from repro.core.streams import DataOutputStream, PackedEncoder
+from repro.core.streams import DataOutputStream
 from repro.spec.autospec import AutoSpecializer, PatternObserver
 from repro.spec.effects.analysis import EffectReport
 from repro.spec.effects.wholeprogram import InferredPhase
@@ -101,60 +94,26 @@ class DriverStrategy(Strategy):
             driver.checkpoint(root)
 
 
-class PackedStrategy(Strategy):
-    """The flag walk with the packed codec (``packed`` tier).
-
-    Identical traversal to the ``incremental`` tier; entries are encoded
-    by the generated ``record_packed`` methods into a reused
-    :class:`~repro.core.streams.PackedEncoder` and appended to ``out`` in
-    one ``write_bytes``. Byte-identical to ``incremental``.
-    """
-
-    name = "packed"
-
-    def __init__(self) -> None:
-        self._enc = PackedEncoder()
-
-    def write(self, roots, out) -> None:
-        enc = self._enc
-        enc.clear()
-        driver = PackedCheckpoint(enc)
-        for root in roots:
-            driver.checkpoint(root)
-        out.write_bytes(enc.getvalue())
-
-
 class DifferentialStrategy(Strategy):
-    """Block-tier differential commit over the packed codec.
+    """Block-tier differential commit (the ``differential`` tier).
 
     Partitions the roots into :class:`~repro.core.blocks.BlockTier`
     blocks on first use (and again whenever the partition goes out of
     sync — different roots, or any structural edge mutation since). At
     commit, blocks whose generation counters prove them clean are
-    skipped without traversal; the flag walk runs only inside dirty
-    blocks. With ``hash_mode="off"`` (the registered ``differential``
-    tier) the epoch bytes are identical to the ``incremental`` tier's.
+    skipped without traversal; the paper's flag walk
+    (:class:`~repro.core.checkpoint.Checkpoint`) runs only inside dirty
+    blocks, straight into ``out``. The epoch bytes are identical to the
+    ``incremental`` tier's.
 
-    ``hash_mode="verify"`` re-fingerprints generation-clean blocks and
-    re-flags (never drops) any block whose content changed behind the
-    flags' back; ``hash_mode="skip"`` additionally elides flag-dirty
-    blocks whose content fingerprint is unchanged — restore-equivalent,
-    not byte-identical.
-
-    :attr:`last_stats` reports, per commit: blocks walked / skipped /
-    hash-skipped / healed, plus cumulative repartition counts.
+    :attr:`last_stats` reports, per commit: blocks walked / skipped,
+    plus whether the tier re-partitioned and the cumulative count.
     """
 
-    def __init__(
-        self,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        hash_mode: str = HASH_OFF,
-    ) -> None:
-        self.tier = BlockTier(block_size=block_size, hash_mode=hash_mode)
-        self.name = (
-            "differential" if hash_mode == HASH_OFF else f"differential-{hash_mode}"
-        )
-        self._enc = PackedEncoder()
+    name = "differential"
+
+    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
+        self.tier = BlockTier(block_size=block_size)
         self.last_stats: dict = {}
 
     def write(self, roots, out) -> None:
@@ -163,46 +122,19 @@ class DifferentialStrategy(Strategy):
         repartitioned = not tier.in_sync(roots)
         if repartitioned:
             tier.partition(roots)
-        enc = self._enc
-        enc.clear()
-        driver = PackedCheckpoint(enc)
-        skipped = walked = healed = hash_skips = 0
+        driver = Checkpoint(out)
+        walked = 0
         for block in tier.blocks:
-            clean = tier.is_clean(block)
-            if clean and tier.hash_mode == HASH_VERIFY:
-                if not tier.fingerprint_unchanged(block):
-                    # Content moved without a flag: an unflagged mutation
-                    # bypassed the protocol. Re-flag the whole block so
-                    # the walk below re-records it (over-approximation,
-                    # never silent loss).
-                    tier.heal(block)
-                    healed += 1
-                    clean = False
-            if clean:
-                skipped += 1
+            if tier.is_clean(block):
                 continue
-            if tier.hash_mode == HASH_SKIP and tier.fingerprint_unchanged(block):
-                # Flags were raised but the content round-tripped back to
-                # its committed state: clear the flags, emit nothing.
-                for obj in tier.members(block):
-                    obj._ckpt_info.reset_modified()
-                tier.mark_committed(block)
-                hash_skips += 1
-                continue
-            size_before = enc.pos
             for root in block.roots:
                 driver.checkpoint(root)
             tier.mark_committed(block)
-            if tier.hash_mode != HASH_OFF and enc.pos != size_before:
-                tier.refresh_fingerprint(block)
             walked += 1
-        out.write_bytes(enc.getvalue())
         self.last_stats = {
             "blocks": len(tier.blocks),
             "walked": walked,
-            "skipped": skipped,
-            "hash_skipped": hash_skips,
-            "healed": healed,
+            "skipped": len(tier.blocks) - walked,
             "repartitioned": repartitioned,
             "repartitions_total": tier.repartitions,
         }
@@ -487,10 +419,6 @@ DEFAULT_STRATEGIES = StrategyRegistry(
         "reflective": lambda: DriverStrategy("reflective", ReflectiveCheckpoint),
         "iterative": lambda: DriverStrategy("iterative", IterativeCheckpoint),
         "checking": lambda: DriverStrategy("checking", CheckingCheckpoint),
-        "packed": PackedStrategy,
         "differential": DifferentialStrategy,
-        "differential-verify": lambda: DifferentialStrategy(
-            hash_mode=HASH_VERIFY
-        ),
     }
 )

@@ -23,12 +23,9 @@ Variants
 ``spec_struct_mod``
     Specialized for structure *and* the experiment's declared modification
     pattern (paper Figure 6 / Figures 9-10).
-``packed``
-    Incremental flag walk recording through the batched ``record_packed``
-    codec (one ``struct.pack_into`` per run of fixed-size fields).
 ``differential``
-    The block dirtiness tier over the packed codec: clean blocks are
-    skipped without traversal. Wall clock and op counts are measured at
+    The block dirtiness tier over the incremental flag walk: clean blocks
+    are skipped without traversal. Wall clock and op counts are measured at
     *steady state* — after the partition's baseline commit — which is the
     regime the tier exists for.
 """
@@ -67,7 +64,6 @@ VARIANTS = (
     "reflective",
     "spec_struct",
     "spec_struct_mod",
-    "packed",
     "differential",
 )
 
@@ -228,9 +224,6 @@ def run_variant(
         elif variant == "incremental":
             for root in structures[:sample]:
                 machine.run_incremental(root)
-        elif variant == "packed":
-            for root in structures[:sample]:
-                machine.run_packed(root)
         elif variant == "differential":
             sample_roots = structures[:sample]
             tier = BlockTier()

@@ -85,20 +85,6 @@ class CostProfile:
 # reported (Table 2): with it, Harissa's unspecialized time for the
 # Table 2 workload lands at ~4 s, JDK 1.2's at ~10-16 s, HotSpot's at
 # ~2 s — the paper's order of magnitude.
-#
-# `pack` and `hash` are NOT part of the fitted calibration — the paper
-# has no packed codec or hash-verified tier. They are engineering
-# estimates layered on top:
-#
-# - `pack` is one batched bounds-checked store of a run of fixed-size
-#   fields into a preallocated buffer. It replaces k typed stream writes
-#   with one call, so it is priced slightly above a single `write_int`
-#   on each backend (the batching win comes from paying it once per run
-#   instead of once per field).
-# - `hash` is fingerprinting one object's wire content during block
-#   verification — a digest update over a few tens of bytes, priced in
-#   the neighbourhood of a `write_str` (buffer traversal plus per-call
-#   overhead; cheapest where calls are cheap).
 
 EPOCH_SCALE = 30.0
 
@@ -116,8 +102,6 @@ JDK12_JIT = CostProfile(
         "write_str": 500.0,
         "flag_reset": 25.0,
         "iter": 25.0,
-        "pack": 110.0,
-        "hash": 350.0,
     },
 )
 
@@ -135,8 +119,6 @@ HOTSPOT = CostProfile(
         "write_str": 120.0,
         "flag_reset": 1.0,
         "iter": 3.0,
-        "pack": 26.0,
-        "hash": 130.0,
     },
 )
 
@@ -154,8 +136,6 @@ HARISSA = CostProfile(
         "write_str": 200.0,
         "flag_reset": 2.0,
         "iter": 8.0,
-        "pack": 44.0,
-        "hash": 190.0,
     },
 )
 

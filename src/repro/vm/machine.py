@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.core.blocks import HASH_OFF, HASH_SKIP, HASH_VERIFY, BlockTier
+from repro.core.blocks import BlockTier
 from repro.core.checkpointable import Checkpointable
 from repro.core.errors import (
     CheckpointError,
     PatternViolationError,
     SpecializationError,
 )
-from repro.core.streams import DataOutputStream, NullOutputStream, PackedEncoder
+from repro.core.streams import DataOutputStream, NullOutputStream
 from repro.spec import ir, templates
 from repro.vm.ops import OpCounts
 
@@ -75,37 +75,13 @@ class MeteredMachine:
         env: Dict[str, Any] = {"root": root}
         self._exec(residual, env, generic=False)
 
-    def run_packed(
-        self, root: Checkpointable, enc: Optional[PackedEncoder] = None
-    ) -> PackedEncoder:
-        """Execute the packed incremental driver on one structure.
-
-        Same traversal and flag protocol as :meth:`run_incremental`, but
-        modified objects are recorded through the generated
-        ``record_packed`` routines: runs of consecutive fixed-size fields
-        cost one ``pack`` op (a single batched ``struct.pack_into``)
-        instead of one typed stream write each. The bytes land in ``enc``
-        and are byte-identical to the flag-walk driver's output, which is
-        what makes the counts trustworthy.
-
-        Like the generic record IR, the accounting is schema-derived, so
-        classes with a hand-written ``record`` (which the production
-        packed codec replays through a temporary stream) are priced as if
-        they were schema-generated.
-        """
-        enc = enc if enc is not None else PackedEncoder()
-        self._packed_visit(root, enc)
-        return enc
-
-    def run_differential(
-        self, tier: BlockTier, enc: Optional[PackedEncoder] = None
-    ) -> PackedEncoder:
+    def run_differential(self, tier: BlockTier) -> None:
         """Execute one differential commit over a partitioned block tier.
 
         The block-tier skip decision is one ``test`` per block; only dirty
-        blocks pay the packed flag walk. In the hash modes every
-        fingerprinted member additionally costs one ``hash`` op. The tier
-        must already be partitioned and in sync with its roots — the
+        blocks pay the generic incremental walk (:meth:`run_incremental`
+        on each of their roots), writing into :attr:`out`. The tier must
+        already be partitioned and in sync with its roots — the
         (re)partition walk is the caller's baseline commit, modeled by
         running this once right after :meth:`BlockTier.partition` (all
         blocks start dirty, so that commit walks everything).
@@ -115,41 +91,13 @@ class MeteredMachine:
                 "run_differential needs a partitioned BlockTier; call "
                 "tier.partition(roots) first"
             )
-        counts = self.counts
-        enc = enc if enc is not None else PackedEncoder()
         for block in tier.blocks:
-            counts.bump("test")  # the per-block generation/dirty check
-            clean = tier.is_clean(block)
-            if clean and tier.hash_mode == HASH_VERIFY:
-                counts.bump("test")  # fingerprint comparison
-                for _ in tier.members(block):
-                    counts.bump("iter")
-                    counts.bump("hash")
-                if not tier.fingerprint_unchanged(block):
-                    tier.heal(block)
-                    clean = False
-            if clean:
+            self.counts.bump("test")  # the per-block generation/dirty check
+            if tier.is_clean(block):
                 continue
-            if tier.hash_mode == HASH_SKIP:
-                counts.bump("test")  # fingerprint comparison
-                for _ in tier.members(block):
-                    counts.bump("iter")
-                    counts.bump("hash")
-                if tier.fingerprint_unchanged(block):
-                    for obj in tier.members(block):
-                        counts.bump("flag_reset")
-                        obj._ckpt_info.reset_modified()
-                    tier.mark_committed(block)
-                    continue
             for root in block.roots:
-                self._packed_visit(root, enc)
+                self.run_incremental(root)
             tier.mark_committed(block)
-            if tier.hash_mode != HASH_OFF:
-                for _ in tier.members(block):
-                    counts.bump("iter")
-                    counts.bump("hash")
-                tier.refresh_fingerprint(block)
-        return enc
 
     # -- generic interpretation ------------------------------------------------
 
@@ -158,92 +106,6 @@ class MeteredMachine:
         template = self._full_template if self._full_mode else self._checkpoint_template
         env: Dict[str, Any] = {"o": obj, "out": self.out, "ckpt": _DRIVER}
         self._exec(template, env, generic=True)
-
-    # -- packed interpretation -------------------------------------------------
-
-    def _packed_visit(self, obj: Checkpointable, enc: PackedEncoder) -> None:
-        counts = self.counts
-        counts.bump("vcall")  # the ckpt.checkpoint(o) dispatch
-        counts.bump("acc")  # getCheckpointInfo()
-        info = obj._ckpt_info
-        counts.bump("acc")  # modified()
-        counts.bump("test")
-        if info.modified:
-            counts.bump("acc")  # getId()
-            counts.bump("pack")  # header: one batched id+serial store
-            enc.put_header(info.object_id, obj._ckpt_serial)
-            counts.bump("vcall")  # record_packed dispatch
-            self._account_record_packed(obj)
-            obj.record_packed(enc)
-            counts.bump("flag_reset")
-            info.modified = False
-        counts.bump("vcall")  # fold dispatch
-        for spec in obj._ckpt_schema:
-            if spec.role == "child":
-                counts.bump("getfield")
-                counts.bump("test")
-                child = getattr(obj, spec.slot)
-                if child is not None:
-                    self._packed_visit(child, enc)
-            elif spec.role == "child_list":
-                counts.bump("getfield")
-                for member in getattr(obj, spec.slot)._items:
-                    counts.bump("iter")
-                    self._packed_visit(member, enc)
-
-    def _account_record_packed(self, obj: Checkpointable) -> None:
-        """Meter one ``record_packed`` call, mirroring the codegen's batching.
-
-        Consecutive fixed-size fields (int/float/bool scalars and child
-        ids) share one ``pack``; strings and lists break the run exactly
-        where the generated source flushes it.
-        """
-        counts = self.counts
-        run = 0  # fixed-size fields accumulated into the pending pack
-        for spec in obj._ckpt_schema:
-            role = spec.role
-            if role == "scalar" and spec.kind != "str":
-                counts.bump("getfield")  # the slot read feeding the pack
-                run += 1
-                continue
-            if role == "child":
-                counts.bump("getfield")  # child pointer
-                counts.bump("test")  # the None test in the id expression
-                counts.bump("acc")  # child getId()
-                run += 1
-                continue
-            if run:
-                counts.bump("pack")
-                run = 0
-            if role == "scalar":  # str
-                counts.bump("getfield")
-                counts.bump("write_str")
-            elif role == "scalar_list":
-                counts.bump("getfield")  # slot
-                counts.bump("getfield")  # len
-                members = getattr(obj, spec.slot)._items
-                counts.bump("pack")  # the count store
-                if spec.kind == "str":
-                    for _ in members:
-                        counts.bump("iter")
-                        counts.bump("write_str")
-                else:
-                    counts.bump("test")  # non-empty check
-                    if members:
-                        counts.bump("pack")  # one batched store, all elements
-            else:  # child_list
-                counts.bump("getfield")  # slot
-                counts.bump("getfield")  # len
-                members = getattr(obj, spec.slot)._items
-                counts.bump("pack")  # the count store
-                counts.bump("test")  # non-empty check
-                if members:
-                    counts.bump("pack")  # one batched store, all ids
-                    for _ in members:
-                        counts.bump("iter")
-                        counts.bump("acc")  # per-member getId()
-        if run:
-            counts.bump("pack")
 
     def _record_ir(self, cls: type) -> ir.Stmt:
         cached = self._record_cache.get(cls)

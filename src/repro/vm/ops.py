@@ -21,18 +21,7 @@ op             meaning
                other typed appends
 ``flag_reset`` clearing a modification flag
 ``iter``       one iteration of a residual (not unrolled) loop
-``pack``       one batched fixed-size store into a preallocated buffer — a
-               run of consecutive int/float/bool fields coalesced into a
-               single ``struct.pack_into`` (the packed codec's replacement
-               for a sequence of stream writes)
-``hash``       fingerprinting one object's wire content during block
-               verification (the differential tier's hash modes)
 =============  ==============================================================
-
-``pack`` and ``hash`` extend the paper's vocabulary: the paper has no
-packed or hash-verified variant, so their prices in the backend profiles
-are engineering estimates rather than fitted calibration (see
-:mod:`repro.vm.backends`).
 """
 
 from __future__ import annotations
@@ -51,8 +40,6 @@ OP_NAMES = (
     "write_str",
     "flag_reset",
     "iter",
-    "pack",
-    "hash",
 )
 
 

@@ -1,4 +1,4 @@
-"""Block dirtiness tier: partitioning, soundness, wrap/collision defenses.
+"""Block dirtiness tier: partitioning, soundness, wrap defense, trial purity.
 
 The load-bearing property: a differential commit must NEVER skip a block
 containing a flagged object — every mutation shape that raises a flag (or
@@ -10,13 +10,7 @@ import threading
 
 import pytest
 
-from repro.core import blocks as blocks_module
-from repro.core.blocks import (
-    DEFAULT_BLOCK_SIZE,
-    HASH_SKIP,
-    HASH_VERIFY,
-    BlockTier,
-)
+from repro.core.blocks import DEFAULT_BLOCK_SIZE, BlockTier
 from repro.core.checkpoint import Checkpoint, collect_objects, reset_flags
 from repro.core.errors import CheckpointError
 from repro.core.info import GENERATION_MASK, TOPOLOGY_CLOCK
@@ -67,8 +61,6 @@ class TestPartitioning:
     def test_requires_valid_arguments(self):
         with pytest.raises(CheckpointError, match="block_size"):
             BlockTier(block_size=0)
-        with pytest.raises(CheckpointError, match="hash_mode"):
-            BlockTier(hash_mode="fast")
 
     def test_blocks_cover_roots_in_order(self):
         roots = _population(5)
@@ -251,63 +243,6 @@ class TestGenerationWrap:
         assert block.generation == 0
 
 
-class TestHashCollisionFallback:
-    def test_skip_mode_detects_size_change_despite_collision(self, monkeypatch):
-        # Every digest collides; only the length half of the fingerprint
-        # can tell content apart. A size-changing write must still be
-        # recorded by the skip mode.
-        monkeypatch.setattr(
-            blocks_module, "content_fingerprint", lambda data: "collision"
-        )
-        roots = _population(4)
-        strategy = DifferentialStrategy(block_size=2, hash_mode=HASH_SKIP)
-        _strategy_bytes(strategy, roots)  # baseline: fingerprints stored
-        roots[1].name = "a-much-longer-name-than-before"
-        data = _strategy_bytes(strategy, roots)
-        recorded = {entry.object_id for entry in decode_stream(data)}
-        assert roots[1]._ckpt_info.object_id in recorded
-
-    def test_verify_mode_heals_size_change_despite_collision(self, monkeypatch):
-        monkeypatch.setattr(
-            blocks_module, "content_fingerprint", lambda data: "collision"
-        )
-        roots = _population(4)
-        strategy = DifferentialStrategy(block_size=2, hash_mode=HASH_VERIFY)
-        _strategy_bytes(strategy, roots)
-        # A flag-bypassing mutation that changes the wire length: the
-        # generation says clean, the fingerprint length says otherwise.
-        leaf = roots[2].mid.leaf
-        leaf._f_label = leaf._f_label + "-grown"
-        data = _strategy_bytes(strategy, roots)
-        recorded = {entry.object_id for entry in decode_stream(data)}
-        assert leaf._ckpt_info.object_id in recorded
-        assert strategy.tier.hash_fallbacks == 1
-
-    def test_verify_mode_heals_unflagged_value_change(self):
-        # Real digests: any bypassed content change in a generation-clean
-        # block is caught and the whole block re-flagged, never lost.
-        roots = _population(4)
-        strategy = DifferentialStrategy(block_size=2, hash_mode=HASH_VERIFY)
-        _strategy_bytes(strategy, roots)
-        leaf = roots[2].mid.leaf
-        leaf._f_value = 4242  # the bug: descriptor never fires
-        data = _strategy_bytes(strategy, roots)
-        recorded = {entry.object_id for entry in decode_stream(data)}
-        assert leaf._ckpt_info.object_id in recorded
-        assert strategy.last_stats["healed"] == 1
-
-    def test_skip_mode_elides_writeback(self):
-        roots = _population(4)
-        strategy = DifferentialStrategy(block_size=2, hash_mode=HASH_SKIP)
-        _strategy_bytes(strategy, roots)
-        leaf = roots[0].mid.leaf
-        leaf.value = leaf.value  # flag raised, content unchanged
-        data = _strategy_bytes(strategy, roots)
-        assert data == b""
-        assert not leaf._ckpt_info.modified  # flag consumed, not leaked
-        assert strategy.last_stats["hash_skipped"] == 1
-
-
 class TestStateSnapshot:
     def test_snapshot_restore_roundtrip(self):
         roots = _population(4)
@@ -330,6 +265,34 @@ class TestStateSnapshot:
         assert not tier.partitioned
         assert not tier.in_sync(roots)
 
+    def test_measure_that_repartitions_keeps_flagged_objects(self):
+        # A measure() whose trial commit re-partitions must not hand the
+        # old partition's per-block counters to the new blocks: the next
+        # commit would then skip a block holding flagged objects.
+        from repro.runtime.session import CheckpointSession
+        from repro.runtime.sink import BufferSink
+
+        population = _population(2 * DEFAULT_BLOCK_SIZE)
+        session = CheckpointSession(
+            roots=lambda: population, strategy="differential", sink=BufferSink()
+        )
+        session.commit()  # baseline: two blocks, all clean afterwards
+        population[DEFAULT_BLOCK_SIZE].mid.leaf.value = 99  # dirty block 1
+        population.insert(0, build_root())  # a fresh structure, all flagged
+        flagged = {
+            obj._ckpt_info.object_id
+            for root in population
+            for obj in collect_objects(root)
+            if obj._ckpt_info.modified
+        }
+        assert len(flagged) == len(collect_objects(population[0])) + 1
+
+        session.measure()
+        data = session.commit().data
+
+        recorded = {entry.object_id for entry in decode_stream(data)}
+        assert recorded == flagged
+
 
 class TestOracleCrosscheck:
     """The block tier must not weaken the shadow-heap oracle's verdicts."""
@@ -348,9 +311,7 @@ class TestOracleCrosscheck:
         session.base()
         return root, session, oracle
 
-    @pytest.mark.parametrize(
-        "strategy_name", ["differential", "differential-verify"]
-    )
+    @pytest.mark.parametrize("strategy_name", ["differential"])
     def test_bypass_mutation_still_reported(self, strategy_name):
         root, session, oracle = self._session(strategy_name)
         root.mid.leaf._f_value = 41  # flag bypass under the block tier
@@ -361,9 +322,7 @@ class TestOracleCrosscheck:
         assert any(v.object_id == root.mid.leaf._ckpt_info.object_id
                    for v in under)
 
-    @pytest.mark.parametrize(
-        "strategy_name", ["differential", "differential-verify"]
-    )
+    @pytest.mark.parametrize("strategy_name", ["differential"])
     def test_honest_mutations_stay_consistent(self, strategy_name):
         root, session, oracle = self._session(strategy_name)
         root.mid.leaf.value = 8

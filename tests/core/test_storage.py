@@ -108,6 +108,44 @@ class TestFileStore:
         # Epoch 1 is bad; 2 cannot be applied over a hole: only epoch 0 left.
         assert [e.index for e in fresh.epochs()] == [0]
 
+    def test_flipped_kind_byte_ends_sequence(self, tmp_path):
+        # The frame CRC covers the kind byte: a delta relabelled as a full
+        # epoch must not become the recovery base.
+        store = FileStore(str(tmp_path / "ckpt"))
+        root = _persist_history(store)
+        path = os.path.join(store.directory, "epoch-000001.ckpt")
+        data = bytearray(open(path, "rb").read())
+        assert data[5] == 1  # incremental
+        data[5] = 0  # full
+        with open(path, "wb") as fh:
+            fh.write(data)
+        fresh = FileStore(store.directory)
+        assert [(e.index, e.kind) for e in fresh.epochs()] == [(0, FULL)]
+        recovered = fresh.recover()[root._ckpt_info.object_id]
+        assert recovered.mid.leaf.value == 7  # the base epoch's state
+
+    def test_version_1_frames_still_read(self, tmp_path):
+        import struct
+        import zlib as _zlib
+
+        store = FileStore(str(tmp_path / "ckpt"))
+        root = _persist_history(store)
+        for index in range(3):
+            path = os.path.join(store.directory, f"epoch-{index:06d}.ckpt")
+            data = bytearray(open(path, "rb").read())
+            # rewrite the header as the payload-only CRC frame of version 1
+            payload = bytes(data[14:])
+            data[:14] = struct.pack(
+                "<4sBBII", b"RCKP", 1, data[5], len(payload),
+                _zlib.crc32(payload),
+            )
+            with open(path, "wb") as fh:
+                fh.write(data)
+        fresh = FileStore(store.directory)
+        assert [e.index for e in fresh.epochs()] == [0, 1, 2]
+        recovered = fresh.recover()[root._ckpt_info.object_id]
+        assert structurally_equal(recovered, root)
+
     def test_bad_magic_rejected(self, tmp_path):
         store = FileStore(str(tmp_path / "ckpt"))
         _persist_history(store)

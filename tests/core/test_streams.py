@@ -11,7 +11,6 @@ from repro.core.streams import (
     DataInputStream,
     DataOutputStream,
     NullOutputStream,
-    PackedEncoder,
     utf8_length,
 )
 
@@ -121,11 +120,6 @@ class TestWriteStrLengthGuard:
         out = NullOutputStream()
         with pytest.raises(SerializationError, match="int32 length"):
             out.write_str(self._HugeStr())
-
-    def test_packed_encoder_mirrors_the_guard(self):
-        enc = PackedEncoder()
-        with pytest.raises(SerializationError, match="int32 length"):
-            enc.put_str(self._HugeStr())
 
 
 class _FakeHugeBytes(bytes):

@@ -96,6 +96,20 @@ class TestScanDamage:
         assert [e.index for e in corrupt] == [2]
         assert "CRC" in corrupt[0].detail
 
+    def test_flipped_kind_byte_is_corrupt(self, tmp_path):
+        directory, _ = make_dir(tmp_path)
+
+        def relabel(path, data):
+            data[5] = 0  # the kind byte: incremental -> full
+            open(path, "wb").write(bytes(data))
+
+        damage(directory, 1, relabel)
+        report = RecoveryManager(directory).scan()
+        corrupt = report.by_status(CORRUPT)
+        assert [e.index for e in corrupt] == [1]
+        assert "CRC" in corrupt[0].detail
+        assert report.durable_epochs == [0]
+
     def test_hole_strands_later_epochs(self, tmp_path):
         directory, _ = make_dir(tmp_path)
         os.remove(os.path.join(directory, "epoch-000001.ckpt"))

@@ -41,11 +41,9 @@ TIER_DRIVERS = {
     "reflective": ReflectiveCheckpoint,
     "iterative": IterativeCheckpoint,
     "checking": CheckingCheckpoint,
-    # The packed codec and the block tier above it both pin the paper
-    # driver's exact bytes — their reference is the generic flag walk.
-    "packed": Checkpoint,
+    # The block tier pins the paper driver's exact bytes — its reference
+    # is the generic flag walk.
     "differential": Checkpoint,
-    "differential-verify": Checkpoint,
 }
 
 
@@ -168,11 +166,10 @@ class TestDifferentialSteadyState:
         ) == state_digest(root, include_ids=True)
 
 
-class TestPackedFaultRecovery:
-    """Torn-write recovery over epochs written by the packed code paths."""
+class TestDifferentialFaultRecovery:
+    """Torn-write recovery over epochs written by the block tier."""
 
-    @pytest.mark.parametrize("tier", ["packed", "differential"])
-    def test_torn_tail_recovers_intact_prefix(self, tier, tmp_path):
+    def test_torn_tail_recovers_intact_prefix(self, tmp_path):
         import os
         import shutil
 
@@ -180,7 +177,9 @@ class TestPackedFaultRecovery:
 
         directory = str(tmp_path / "ckpts")
         root = build_root()
-        session = CheckpointSession(roots=root, strategy=tier, sink=directory)
+        session = CheckpointSession(
+            roots=root, strategy="differential", sink=directory
+        )
         session.base()
         epochs = 4
         for step in range(1, epochs):

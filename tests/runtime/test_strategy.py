@@ -48,19 +48,15 @@ def _restore_flags(snapshot):
 
 class TestRegistry:
     def test_default_tiers_registered(self):
-        for name in (
-            "none",
+        assert DEFAULT_STRATEGIES.names() == [
+            "checking",
+            "differential",
             "full",
             "incremental",
-            "reflective",
             "iterative",
-            "checking",
-            "packed",
-            "differential",
-            "differential-verify",
-        ):
-            assert name in DEFAULT_STRATEGIES
-        assert len(DEFAULT_STRATEGIES) == 9
+            "none",
+            "reflective",
+        ]
 
     def test_create_unknown_raises(self):
         with pytest.raises(CheckpointError, match="unknown strategy"):

@@ -183,33 +183,7 @@ class TestOpCounts:
 
 
 class TestPackedAndDifferential:
-    """The two new drivers obey the same credo: count only what ran."""
-
-    def test_packed_matches_generic_driver(self, dirty_root):
-        snapshot = _snapshot(dirty_root)
-        machine = MeteredMachine()
-        enc = machine.run_packed(dirty_root)
-        _restore(snapshot)
-        driver = Checkpoint()
-        driver.checkpoint(dirty_root)
-        assert enc.getvalue() == driver.getvalue()
-
-    def test_packed_batches_fixed_size_fields(self, dirty_root):
-        machine = MeteredMachine()
-        machine.run_packed(dirty_root)
-        counts = machine.counts
-        # fixed-size runs are single pack_into calls, never typed writes
-        assert counts["pack"] > 0
-        assert counts["write_int"] == 0
-        assert counts["write_float"] == 0
-        assert counts["write_bool"] == 0
-        # strings stay on the variable-size path
-        assert counts["write_str"] == 2
-
-    def test_packed_resets_flags_like_driver(self, dirty_root):
-        machine = MeteredMachine()
-        machine.run_packed(dirty_root)
-        assert all(not o._ckpt_info.modified for o in collect_objects(dirty_root))
+    """The block-tier driver obeys the same credo: count only what ran."""
 
     def _committed_tier(self, roots, **tier_kwargs):
         from repro.core.blocks import BlockTier
@@ -228,15 +202,15 @@ class TestPackedAndDifferential:
         roots[0].mid.leaf.value = 3
         roots[5].kids[0].value = 4
         snapshots = [_snapshot(root) for root in roots]
-        machine = MeteredMachine()
-        enc = machine.run_differential(tier)
+        machine = MeteredMachine(DataOutputStream())
+        machine.run_differential(tier)
         for snapshot in snapshots:
             _restore(snapshot)
         out = DataOutputStream()
         driver = Checkpoint(out)
         for root in roots:
             driver.checkpoint(root)
-        assert enc.getvalue() == out.getvalue()
+        assert machine.out.getvalue() == out.getvalue()
 
     def test_differential_clean_blocks_cost_one_test_each(self):
         roots = [build_root() for _ in range(6)]
@@ -244,14 +218,10 @@ class TestPackedAndDifferential:
             reset_flags(root)
         tier = self._committed_tier(roots, block_size=2)
         machine = MeteredMachine()
-        enc = machine.run_differential(tier)
+        machine.run_differential(tier)
         # every block is clean: one skip decision per block, no traversal
-        assert enc.size == 0
-        assert machine.counts["test"] == len(tier.blocks)
-        assert machine.counts["vcall"] == 0
-        assert machine.counts["getfield"] == 0
-        assert machine.counts["pack"] == 0
-        assert machine.counts["hash"] == 0
+        assert machine.out.size == 0
+        assert machine.counts == OpCounts({"test": len(tier.blocks)})
 
     def test_differential_dirty_block_pays_packed_walk_only_there(self):
         roots = [build_root() for _ in range(6)]
@@ -266,45 +236,10 @@ class TestPackedAndDifferential:
             _restore(snapshot)
         reference = MeteredMachine()
         for root in roots[:2]:  # the dirty block's two roots
-            reference.run_packed(root)
+            reference.run_incremental(root)
         # the differential run = per-block tests + the dirty block's walk
         expected = reference.counts + OpCounts({"test": len(tier.blocks)})
         assert machine.counts == expected
-
-    def test_verify_mode_hashes_clean_blocks(self):
-        from repro.core.blocks import HASH_VERIFY
-
-        roots = [build_root() for _ in range(4)]
-        for root in roots:
-            reset_flags(root)
-        tier = self._committed_tier(roots, block_size=2, hash_mode=HASH_VERIFY)
-        machine = MeteredMachine()
-        enc = machine.run_differential(tier)
-        assert enc.size == 0
-        # every member of every clean block was re-fingerprinted
-        assert machine.counts["hash"] == sum(
-            1 for block in tier.blocks for _ in tier.members(block)
-        )
-
-    def test_skip_mode_hashes_flagged_blocks_and_elides_writeback(self):
-        from repro.core.blocks import HASH_SKIP
-
-        roots = [build_root() for _ in range(4)]
-        for root in roots:
-            reset_flags(root)
-        tier = self._committed_tier(roots, block_size=2, hash_mode=HASH_SKIP)
-        # write-back: flag raised, content unchanged
-        roots[0].mid.leaf.value = roots[0].mid.leaf.value
-        machine = MeteredMachine()
-        enc = machine.run_differential(tier)
-        assert enc.size == 0  # unchanged fingerprint: nothing recorded
-        assert machine.counts["hash"] > 0
-        assert machine.counts["flag_reset"] > 0  # flags still cleared
-        assert all(
-            not o._ckpt_info.modified
-            for root in roots
-            for o in collect_objects(root)
-        )
 
     def test_differential_requires_partitioned_tier(self):
         from repro.core.blocks import BlockTier
