@@ -587,14 +587,7 @@ def fault_recovery(
     import tempfile
     import time
 
-    from repro.faults.crashsim import (
-        BRANCH_PATH,
-        REPLICA_PATH,
-        BranchSim,
-        CrashSim,
-        ReplicaSim,
-        build_matrix,
-    )
+    from repro.faults.crashsim import PATHS, CrashSim, build_matrix
     from repro.fsck.manager import RecoveryManager
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import MemoryExporter, Tracer
@@ -604,20 +597,8 @@ def fault_recovery(
     try:
         exporter = MemoryExporter()
         tracer = Tracer([exporter])
-        scenarios = build_matrix()
-        linear = [
-            s for s in scenarios if s.path not in (BRANCH_PATH, REPLICA_PATH)
-        ]
-        branching = [s for s in scenarios if s.path == BRANCH_PATH]
-        replicated = [s for s in scenarios if s.path == REPLICA_PATH]
         start = time.perf_counter()
-        results = CrashSim(workdir, tracer=tracer).run_matrix(linear)
-        results += BranchSim(
-            os.path.join(workdir, BRANCH_PATH), tracer=tracer
-        ).run_matrix(branching)
-        results += ReplicaSim(
-            os.path.join(workdir, REPLICA_PATH), tracer=tracer
-        ).run_matrix(replicated)
+        results = CrashSim(workdir, tracer=tracer).run_matrix(build_matrix())
         matrix_seconds = time.perf_counter() - start
 
         result = ExperimentResult(
@@ -627,9 +608,7 @@ def fault_recovery(
             "epochs)",
             ("measurement", "runs", "ok", "crashed", "wall (s)"),
         )
-        for path in (
-            "store", "sink", "background", BRANCH_PATH, REPLICA_PATH
-        ):
+        for path in PATHS:
             grouped = [r for r in results if r.path == path]
             result.add_row(
                 f"crashsim [{path} path]",

@@ -5,28 +5,28 @@ package is how the reproduction *tests* that, instead of assuming it:
 
 - :mod:`repro.faults.plan` — seed-driven :class:`FaultPlan`/:class:`FaultSpec`:
   transient errors, torn writes, bit flips, stalls, crash points;
-- :mod:`repro.faults.inject` — :class:`FaultyStore` / :class:`FaultySink`
-  wrappers executing a plan against real stores and sinks;
+- :mod:`repro.faults.inject` — :class:`FaultyStore` /
+  :class:`ReplicaFaultStore` wrappers executing a plan against real
+  stores;
 - :mod:`repro.faults.crashsim` — the :class:`CrashSim` harness: run a
-  session workload, crash it at every injected point, recover, and
-  assert byte-identical state against a fault-free reference run
-  (``python -m repro.faults`` runs the full matrix).
+  session workload on one of four store stacks, crash it at every
+  injected point, recover, and assert byte-identical state against a
+  fault-free reference run (``python -m repro.faults`` runs the full
+  matrix).
 """
 
 from repro.faults.crashsim import (
-    BranchScript,
-    BranchSim,
     CrashSim,
     Scenario,
     ScenarioResult,
     Workload,
     build_branch_matrix,
     build_matrix,
-    default_branch_script,
+    build_replica_matrix,
     default_workload,
     table_fingerprint,
 )
-from repro.faults.inject import FaultySink, FaultyStore, InjectedCrash, TransientFault
+from repro.faults.inject import FaultyStore, InjectedCrash, TransientFault
 from repro.faults.plan import (
     ALL_KINDS,
     BITFLIP,
@@ -49,19 +49,16 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FaultyStore",
-    "FaultySink",
     "TransientFault",
     "InjectedCrash",
     "CrashSim",
-    "BranchSim",
-    "BranchScript",
     "Scenario",
     "ScenarioResult",
     "Workload",
     "default_workload",
-    "default_branch_script",
     "build_matrix",
     "build_branch_matrix",
+    "build_replica_matrix",
     "table_fingerprint",
     "ALL_KINDS",
     "SESSION_KINDS",

@@ -23,12 +23,9 @@ def main(argv=None) -> int:
         "--seed", type=int, default=20260806, help="matrix seed"
     )
     parser.add_argument(
-        "--epochs", type=int, default=6, help="epochs per workload run"
-    )
-    parser.add_argument(
         "--workdir",
         default=None,
-        help="working directory (default: a fresh temporary directory)",
+        help="working directory (default: a temporary one, removed after)",
     )
     parser.add_argument(
         "--json",
@@ -38,8 +35,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="crashsim-")
-    summary = run(workdir, seed=args.seed, epochs=args.epochs)
+    if args.workdir:
+        summary = run(args.workdir, seed=args.seed)
+    else:
+        with tempfile.TemporaryDirectory(prefix="crashsim-") as workdir:
+            summary = run(workdir, seed=args.seed)
     print(summarize(summary))
     if args.json:
         save_json(summary, args.json)

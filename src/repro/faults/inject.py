@@ -1,4 +1,4 @@
-"""Fault-injecting wrappers around stores and sinks.
+"""Fault-injecting wrappers around stores.
 
 :class:`FaultyStore` wraps any :class:`~repro.core.storage.CheckpointStore`
 and executes a :class:`~repro.faults.plan.FaultPlan` against its
@@ -6,10 +6,14 @@ and executes a :class:`~repro.faults.plan.FaultPlan` against its
 crash points. Faults that manipulate bytes on disk (``torn``,
 ``bitflip``, ``crash-tmp``) require a file-backed store underneath.
 
-:class:`FaultySink` is the same engine one layer up: a
-:class:`~repro.runtime.sink.StoreSink` whose store is already wrapped,
-so a whole :class:`~repro.runtime.session.CheckpointSession` commits
-through the fault plan unchanged.
+A whole :class:`~repro.runtime.session.CheckpointSession` commits
+through a plan unchanged when its sink's store is wrapped::
+
+    sink = StoreSink(FaultyStore(FileStore(path), plan), retry=RetryPolicy())
+    session = CheckpointSession(roots=root, sink=sink)
+
+:class:`ReplicaFaultStore` arms replica-scoped kinds on one child of a
+:class:`~repro.core.replica.ReplicatedStore`.
 
 Two exception types carry the injections:
 
@@ -24,10 +28,9 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.errors import CheckpointError
-from repro.core.retry import RetryPolicy
 from repro.core.storage import CheckpointStore, Epoch, FileStore
 from repro.faults.plan import (
     BITFLIP,
@@ -45,7 +48,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
-from repro.runtime.sink import StoreSink
 
 
 class TransientFault(OSError):
@@ -316,25 +318,3 @@ class ReplicaFaultStore(CheckpointStore):
         self._check_dead()
         return self.backing._serial_translation(registry)
 
-
-class FaultySink(StoreSink):
-    """A :class:`StoreSink` whose store runs under a fault plan.
-
-    The convenience wrapper for session-level injection::
-
-        sink = FaultySink(FileStore(path), plan, retry=RetryPolicy())
-        session = CheckpointSession(roots=root, sink=sink)
-    """
-
-    def __init__(
-        self,
-        store: CheckpointStore,
-        plan: FaultPlan,
-        retry: Optional[RetryPolicy] = None,
-        sleep=time.sleep,
-    ) -> None:
-        super().__init__(FaultyStore(store, plan, sleep=sleep), retry=retry)
-
-    @property
-    def faulty(self) -> FaultyStore:
-        return self.store

@@ -8,47 +8,39 @@ including crashes inside ``restore()`` and ``fork()`` themselves.
 
 import pytest
 
+from repro.core.errors import StorageError
 from repro.faults import (
-    BranchSim,
+    CrashSim,
     FaultPlan,
     FaultSpec,
     Scenario,
     build_branch_matrix,
-    default_branch_script,
 )
-from repro.faults.crashsim import BRANCH_PATH, BRANCH_SCRIPT_EPOCHS, CrashSim
-from repro.faults.plan import (
-    CRASH_BEFORE,
-    CRASH_FORK,
-    CRASH_RESTORE,
-    SESSION_KINDS,
-)
+from repro.faults.crashsim import BRANCH_SCRIPT_EPOCHS
+from repro.faults.plan import CRASH_FORK, CRASH_RESTORE, SESSION_KINDS
 
 
 @pytest.fixture(scope="module")
 def branch_results(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("branchsim")
-    sim = BranchSim(str(workdir))
-    return sim.run_matrix(build_branch_matrix())
+    return CrashSim(str(workdir)).run_matrix(build_branch_matrix())
 
 
 class TestReferenceRun:
     def test_reference_covers_every_epoch(self, tmp_path):
-        sim = BranchSim(str(tmp_path))
-        reference = sim.reference()
+        reference = CrashSim(str(tmp_path)).reference(branching=True)
         assert sorted(reference) == list(range(BRANCH_SCRIPT_EPOCHS))
 
     def test_reference_branches_diverge(self, tmp_path):
         """Epochs 4 (main@2 fork) and 3 (main head) hold different state."""
-        sim = BranchSim(str(tmp_path))
-        reference = sim.reference()
+        reference = CrashSim(str(tmp_path)).reference(branching=True)
         assert reference[3] != reference[4]
         assert reference[5] != reference[6]
 
 
 class TestBranchMatrix:
     def test_every_scenario_recovers_per_branch(self, branch_results):
-        failed = [r.scenario.name for r in branch_results if not r.ok]
+        failed = [r.name for r in branch_results if not r.ok]
         assert failed == []
 
     def test_matrix_is_deterministic(self):
@@ -65,7 +57,7 @@ class TestBranchMatrix:
         assert set(SESSION_KINDS) <= kinds
 
     def test_all_scenarios_ride_the_branch_path(self):
-        assert {s.path for s in build_branch_matrix()} == {BRANCH_PATH}
+        assert {s.path for s in build_branch_matrix()} == {"branch"}
 
     def test_session_crashes_lose_nothing_durable(self, branch_results):
         """restore()/fork() write nothing durable, so crashing inside
@@ -90,20 +82,16 @@ class TestBranchMatrix:
 
 
 class TestBranchSimGuards:
-    def test_crashsim_rejects_branch_path(self, tmp_path):
-        from repro.core.errors import StorageError
-
-        sim = CrashSim(str(tmp_path))
-        scenario = Scenario(
-            name="bad",
-            plan=FaultPlan.single(FaultSpec(0, CRASH_BEFORE)),
-            path=BRANCH_PATH,
-        )
-        with pytest.raises(StorageError, match="BranchSim"):
-            sim._make_sink(scenario, str(tmp_path / "run-bad"))
+    def test_session_crash_points_need_the_branch_path(self):
+        plan = FaultPlan.single(FaultSpec(0, CRASH_RESTORE))
+        for path in ("store", "background"):
+            with pytest.raises(StorageError, match="branch path"):
+                Scenario(name="bad", plan=plan, path=path)
 
     def test_script_is_replayable(self, tmp_path):
         """Two fault-free runs of the script produce identical stores."""
-        sim_a = BranchSim(str(tmp_path / "a"))
-        sim_b = BranchSim(str(tmp_path / "b"))
-        assert sim_a.reference() == sim_b.reference()
+        sim_a = CrashSim(str(tmp_path / "a"))
+        sim_b = CrashSim(str(tmp_path / "b"))
+        assert sim_a.reference(branching=True) == sim_b.reference(
+            branching=True
+        )

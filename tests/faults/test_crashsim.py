@@ -7,10 +7,21 @@ run at the same durable epoch count. The full matrix runs in well under
 a second, so the suite runs it wholesale rather than sampling.
 """
 
+import os
+import tempfile
+from collections import Counter
+
 import pytest
 
+from repro.core.storage import FileStore
 from repro.faults import CrashSim, FaultPlan, FaultSpec, Scenario, build_matrix
-from repro.faults.crashsim import PATHS, default_workload, run
+from repro.faults.__main__ import main
+from repro.faults.crashsim import (
+    PATHS,
+    default_workload,
+    run,
+    table_fingerprint,
+)
 from repro.faults.plan import CRASH_KINDS, TRANSIENT
 
 
@@ -103,10 +114,22 @@ class TestWorkload:
         first = sim.reference()
         second = sim.reference()
         assert first is second
-        # One fingerprint per durable prefix, plus the empty store.
-        assert set(first) == set(range(0, sim.workload.epochs + 1))
-        assert first[0] == b""
+        # One fingerprint per epoch index of the linear script.
+        assert set(first) == set(range(sim.workload.epochs))
         assert len(set(first.values())) == len(first)
+
+    def test_reference_matches_recovered_prefixes(self, tmp_path):
+        """On the linear script, materializing epoch i rebuilds what
+        recovering the first i + 1 epochs does."""
+        sim = CrashSim(str(tmp_path / "sim"))
+        reference = sim.reference()
+        epochs = FileStore(str(tmp_path / "sim" / "reference")).epochs()
+        for durable in range(1, len(epochs) + 1):
+            prefix = FileStore(str(tmp_path / f"prefix-{durable}"))
+            for epoch in epochs[:durable]:
+                prefix.append(epoch.kind, epoch.data)
+            recovered = table_fingerprint(prefix.recover())
+            assert recovered == reference[durable - 1]
 
 
 class TestScenarioShapes:
@@ -121,3 +144,22 @@ class TestScenarioShapes:
     def test_unknown_path_rejected(self):
         with pytest.raises(Exception, match="unknown scenario path"):
             Scenario(name="bad", plan=FaultPlan(), path="carrier-pigeon")
+
+    def test_matrix_names_are_unique_and_paths_sized(self):
+        """Every (stack, plan) pair runs once, under its own name."""
+        scenarios = build_matrix()
+        names = [s.name for s in scenarios]
+        assert len(set(names)) == len(names)
+        assert Counter(s.path for s in scenarios) == {
+            "store": 41,
+            "background": 16,
+            "branch": 34,
+            "replica": 37,
+        }
+
+
+class TestCli:
+    def test_default_workdir_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["--json", str(tmp_path / "report.json")]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["report.json"]

@@ -7,6 +7,7 @@ import pytest
 from repro.core.errors import CheckpointError
 from repro.core.retry import RetryPolicy
 from repro.core.storage import FULL, INCREMENTAL, FileStore, MemoryStore
+from repro.runtime.sink import StoreSink
 from repro.faults import (
     BITFLIP,
     CRASH_AFTER,
@@ -17,7 +18,6 @@ from repro.faults import (
     TRANSIENT,
     FaultPlan,
     FaultSpec,
-    FaultySink,
     FaultyStore,
     InjectedCrash,
     TransientFault,
@@ -140,14 +140,16 @@ class TestPassthrough:
 
 
 class TestFaultySink:
+    """A session sink over a faulty store: the crash matrix's store path."""
+
     def test_wraps_store_and_exposes_it(self, tmp_path):
         backing = FileStore(str(tmp_path / "store"))
-        sink = FaultySink(
-            backing,
-            FaultPlan.single(FaultSpec(0, TRANSIENT, attempts=1)),
+        plan = FaultPlan.single(FaultSpec(0, TRANSIENT, attempts=1))
+        sink = StoreSink(
+            FaultyStore(backing, plan),
             retry=RetryPolicy(max_attempts=3, base_delay=0.0),
         )
-        assert isinstance(sink.faulty, FaultyStore)
+        assert isinstance(sink.store, FaultyStore)
         sink.put(FULL, PAYLOAD)
         # The retry policy absorbed the single transient fault.
         assert sink.retry_stats.retries == 1

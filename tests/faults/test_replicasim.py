@@ -1,4 +1,4 @@
-"""Replica-targeted fault injection and the ReplicaSim matrix."""
+"""Replica-targeted fault injection and the crash simulator's replica path."""
 
 import pytest
 
@@ -15,12 +15,7 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
-from repro.faults.replicasim import (
-    REPLICA_PATH,
-    ReplicaScenario,
-    ReplicaSim,
-    build_replica_matrix,
-)
+from repro.faults.crashsim import CrashSim, Scenario, build_replica_matrix
 
 
 def replicated_with_faults(plan, replicas=3, **kwargs):
@@ -83,20 +78,22 @@ class TestReplicaFaultStore:
 class TestReplicaScenario:
     def test_session_kinds_rejected(self):
         with pytest.raises(StorageError):
-            ReplicaScenario(
+            Scenario(
                 name="bad",
                 plan=FaultPlan.single(FaultSpec(0, CRASH_RESTORE)),
+                path="replica",
             )
 
     def test_out_of_range_replica_rejected(self):
         with pytest.raises(StorageError, match="targets replica 5"):
-            ReplicaScenario(
+            Scenario(
                 name="bad",
                 plan=FaultPlan.single(FaultSpec(0, KILL_REPLICA, replica=5)),
+                path="replica",
             )
 
     def test_quorum_survival_accounting(self):
-        lossy = ReplicaScenario(
+        lossy = Scenario(
             name="x",
             plan=FaultPlan(
                 [
@@ -104,57 +101,50 @@ class TestReplicaScenario:
                     FaultSpec(1, KILL_REPLICA, replica=2),
                 ]
             ),
+            path="replica",
         )
         assert lossy.killed == 2
         assert lossy.quorum_size == 2
         assert not lossy.quorum_survives
-        wide = ReplicaScenario(name="y", plan=lossy.plan, replicas=5)
+        wide = Scenario(name="y", plan=lossy.plan, path="replica", replicas=5)
         assert wide.quorum_survives
 
 
 class TestBuildReplicaMatrix:
     def test_shape(self):
-        scenarios = build_replica_matrix(epochs=6)
+        scenarios = build_replica_matrix()
         assert len(scenarios) >= 20
         names = [s.name for s in scenarios]
         assert len(set(names)) == len(names)
-        assert all(s.path == REPLICA_PATH for s in scenarios)
+        assert all(s.path == "replica" for s in scenarios)
         assert "replica-quorum-loss" in names
         assert "replica-allack-kill" in names
         assert any(s.replicas == 5 for s in scenarios)
 
     def test_quorum_survivors_dominate(self):
-        scenarios = build_replica_matrix(epochs=6)
+        scenarios = build_replica_matrix()
         survivors = [s for s in scenarios if s.quorum_survives]
         assert len(survivors) >= len(scenarios) - 2
 
 
 class TestReplicaSim:
-    def run_one(self, tmp_path, scenario):
-        sim = ReplicaSim(str(tmp_path))
-        return sim.run_scenario(scenario)
+    def run_one(self, tmp_path, name, *specs):
+        scenario = Scenario(name=name, plan=FaultPlan(specs), path="replica")
+        return CrashSim(str(tmp_path)).run_scenario(scenario)
 
     def test_single_kill_recovers_identically(self, tmp_path):
         result = self.run_one(
-            tmp_path,
-            ReplicaScenario(
-                name="kill-mid",
-                plan=FaultPlan.single(FaultSpec(3, KILL_REPLICA, replica=1)),
-            ),
+            tmp_path, "kill-mid", FaultSpec(3, KILL_REPLICA, replica=1)
         )
         assert result.ok, result.detail
         assert not result.crashed  # a pulled volume never stalls commits
-        assert result.path == REPLICA_PATH
+        assert result.path == "replica"
 
     def test_corruption_scrubbed_and_identical(self, tmp_path):
         result = self.run_one(
             tmp_path,
-            ReplicaScenario(
-                name="rot-mid",
-                plan=FaultPlan.single(
-                    FaultSpec(2, CORRUPT_REPLICA, param=33, replica=2)
-                ),
-            ),
+            "rot-mid",
+            FaultSpec(2, CORRUPT_REPLICA, param=33, replica=2),
         )
         assert result.ok, result.detail
         assert any("scrub repaired" in note for note in result.injected)
@@ -162,26 +152,16 @@ class TestReplicaSim:
     def test_quorum_loss_recovers_surviving_prefix(self, tmp_path):
         result = self.run_one(
             tmp_path,
-            ReplicaScenario(
-                name="double-kill",
-                plan=FaultPlan(
-                    [
-                        FaultSpec(1, KILL_REPLICA, replica=0),
-                        FaultSpec(2, KILL_REPLICA, replica=1),
-                    ]
-                ),
-            ),
+            "double-kill",
+            FaultSpec(1, KILL_REPLICA, replica=0),
+            FaultSpec(2, KILL_REPLICA, replica=1),
         )
         assert result.crashed  # commits must stop at quorum loss
         assert result.ok, result.detail  # ...but the prefix recovers
 
     def test_process_crash_on_fanout_stream(self, tmp_path):
         result = self.run_one(
-            tmp_path,
-            ReplicaScenario(
-                name="crash-after",
-                plan=FaultPlan.single(FaultSpec(2, CRASH_AFTER)),
-            ),
+            tmp_path, "crash-after", FaultSpec(2, CRASH_AFTER)
         )
         assert result.crashed
         assert result.ok, result.detail
