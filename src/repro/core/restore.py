@@ -1,26 +1,35 @@
 """Recovery: rebuilding object state from checkpoint streams.
 
 A recovery line is a *base* checkpoint (normally a full checkpoint)
-followed by zero or more *incremental* deltas. Restoration proceeds by
+followed by zero or more *incremental* deltas. The drivers record a
+modified object's complete local state, so at the end of the line each
+object's state is exactly its newest record: every older record of it is
+superseded. Restoration therefore runs over the whole line in two passes.
 
-1. materializing a blank object for every identifier seen in a stream
-   that is not already known (class serials in the entries say which
-   class to instantiate), then
-2. applying every entry's payload in stream order, resolving child
-   references through the object table.
+1. **Validate, oldest epoch first.** Every record is parsed and checked
+   (truncation, class serials, class agreement across epochs, bool bytes,
+   string lengths and UTF-8, and child ids against the ids known at the
+   end of that record's epoch, so forward references inside an epoch
+   resolve). One blank object is made per identifier and flagged "not yet
+   restored" with its own modification flag; no per-object location map
+   is kept. The id allocator is advanced after each epoch.
+2. **Restore, newest epoch first.** Each still-flagged object recorded in
+   the epoch is restored from its record. Flags clear only after the
+   epoch's scan, so that when an epoch records an object twice (a full
+   checkpoint of a DAG records a shared subobject once per path) its
+   later record wins. The pass stops once nothing is flagged.
 
-Because the paper's incremental traversal records a modified parent before
-any newly-created children it references, each stream is processed in two
-passes so that forward references resolve.
-
-The resulting :class:`ObjectTable` maps identifiers to live objects; all
-restored objects have their modification flag clear.
+Errors name absolute offsets within the whole line, so that an fsck line
+points at the failing record. The resulting :class:`ObjectTable` maps
+identifiers to live objects; all restored objects have their
+modification flag clear.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Tuple
+import struct
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.checkpointable import Checkpointable
 from repro.core.errors import RestoreError
@@ -28,6 +37,9 @@ from repro.core.fields import FieldSpec
 from repro.core.ids import DEFAULT_ALLOCATOR
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
 from repro.core.streams import DataInputStream
+
+#: object id and class serial, the head of every record
+_HEADER = struct.Struct("<ii")
 
 
 class ObjectTable:
@@ -65,8 +77,17 @@ class ObjectTable:
         return max(self._objects, default=-1)
 
 
-def _skip_payload(inp: DataInputStream, schema: List[FieldSpec]) -> None:
-    """Advance ``inp`` past one payload without interpreting references."""
+def _skip_payload(
+    inp: DataInputStream,
+    schema: List[FieldSpec],
+    refs: Optional[List[int]] = None,
+) -> None:
+    """Advance ``inp`` past one payload, validating its scalars.
+
+    When ``refs`` is given, the child ids that must name an object are
+    appended to it: every ``child_list`` element, and every ``child`` id
+    other than −1 (which is ``None``).
+    """
     for field in schema:
         if field.role == "scalar":
             _skip_scalar(inp, field.kind)
@@ -75,11 +96,15 @@ def _skip_payload(inp: DataInputStream, schema: List[FieldSpec]) -> None:
             for _ in range(count):
                 _skip_scalar(inp, field.kind)
         elif field.role == "child":
-            inp.read_int32()
+            child_id = inp.read_int32()
+            if refs is not None and child_id != -1:
+                refs.append(child_id)
         else:  # child_list
             count = inp.read_int32()
             for _ in range(count):
-                inp.read_int32()
+                child_id = inp.read_int32()
+                if refs is not None:
+                    refs.append(child_id)
 
 
 def _skip_scalar(inp: DataInputStream, kind: str) -> None:
@@ -93,58 +118,201 @@ def _skip_scalar(inp: DataInputStream, kind: str) -> None:
         inp.read_str()
 
 
-def apply_stream(
-    data: bytes,
-    table: ObjectTable,
-    registry: Optional[ClassRegistry] = None,
-    serial_translation: Optional[Dict[int, int]] = None,
-    base_offset: int = 0,
-) -> List[int]:
-    """Apply one checkpoint stream to ``table`` (creating objects as needed).
+class _Layout(NamedTuple):
+    """How the two passes scan the records of one class."""
 
-    Returns the identifiers of the entries applied, in stream order.
-    Raises :class:`RestoreError` on truncation, unknown serials, or a
-    class mismatch between an entry and an existing object.
+    cls: type
+    schema: List[FieldSpec]
+    #: for a fixed-size payload (only int/float scalars and children): a
+    #: struct of the payload's size that unpacks just its child ids; None
+    #: when the payload has variable-length fields
+    children: Optional[struct.Struct]
 
-    ``base_offset`` is this stream's position within the containing
-    recovery line: decode errors report ``base_offset``-adjusted offsets,
-    so that after a multi-epoch replay an fsck quarantine line points at
-    the right record rather than an intra-record offset.
-    """
-    registry = registry or DEFAULT_REGISTRY
 
-    # Pass 1: discover entries, materialize blanks for unseen identifiers.
-    inp = DataInputStream(data, base_offset)
-    entries: List[Tuple[int, type]] = []
-    while not inp.at_eof:
-        object_id = inp.read_int32()
-        serial = inp.read_int32()
-        if serial_translation is not None:
+#: struct codes of the fixed-size fields; scalars become pad bytes, since
+#: validation only needs the child ids
+_FIXED_CODES = {
+    ("scalar", "int"): "4x",
+    ("scalar", "float"): "8x",
+    ("child", None): "i",
+}
+
+
+class _Layouts(dict):
+    """Class serial as recorded → :class:`_Layout`, filled on first use."""
+
+    def __init__(
+        self,
+        registry: ClassRegistry,
+        serial_translation: Optional[Dict[int, int]],
+    ) -> None:
+        super().__init__()
+        self.registry = registry
+        self.serial_translation = serial_translation
+
+    def __missing__(self, recorded: int) -> _Layout:
+        serial = recorded
+        if self.serial_translation is not None:
             try:
-                serial = serial_translation[serial]
+                serial = self.serial_translation[recorded]
             except KeyError:
-                raise RestoreError(f"class serial {serial} missing from manifest")
-        cls = registry.class_for(serial)
-        entries.append((object_id, cls))
-        existing = table.get(object_id)
-        if existing is None:
-            table.add(cls._blank(object_id))
-        elif type(existing) is not cls:
+                raise RestoreError(f"class serial {recorded} missing from manifest")
+        cls = self.registry.class_for(serial)
+        schema = self.registry.schema_of(cls)
+        codes = [_FIXED_CODES.get((field.role, field.kind)) for field in schema]
+        children = None if None in codes else struct.Struct("<" + "".join(codes))
+        layout = self[recorded] = _Layout(cls, schema, children)
+        return layout
+
+
+def _validate_epoch(
+    data: bytes,
+    base_offset: int,
+    table: ObjectTable,
+    layouts: _Layouts,
+    applied: Optional[List[int]],
+) -> Tuple[int, int]:
+    """Pass 1 over one epoch: validate each record and flag its object.
+
+    Returns how many objects this epoch newly flagged and the largest id
+    it records (−1 for an empty epoch).
+    """
+    objects = table._objects
+    header = _HEADER.unpack_from
+    inp = DataInputStream(data, base_offset)
+    # child id -> position of the first record that referenced it before
+    # any record defined it (a forward reference); dropped when defined,
+    # so what is left at the end dangles, in the order it was referenced
+    unresolved: Dict[int, int] = {}
+    flagged = 0
+    high = -1
+    pos = 0
+    end = len(data)
+    while pos < end:
+        record = pos
+        if end - pos >= 8:
+            object_id, serial = header(data, pos)
+        else:  # the stream reader raises the truncation error
+            inp.seek(pos)
+            object_id = inp.read_int32()
+            serial = inp.read_int32()
+        cls, schema, children = layouts[serial]
+        obj = objects.get(object_id)
+        if obj is None:
+            obj = objects[object_id] = cls._blank(object_id)
+            unresolved.pop(object_id, None)
+        elif type(obj) is not cls:
             raise RestoreError(
                 f"object id {object_id} recorded as {cls.__name__} but the "
-                f"table holds a {type(existing).__name__}"
+                f"table holds a {type(obj).__name__}"
             )
-        _skip_payload(inp, registry.schema_of(cls))
+        info = obj._ckpt_info
+        if not info._modified:
+            # The raw slot: the "not yet restored" marker must not bump a
+            # dirtiness block's generation.
+            info._modified = True
+            flagged += 1
+        if object_id > high:
+            high = object_id
+        if applied is not None:
+            applied.append(object_id)
+        pos += 8
+        if children is not None and pos + children.size <= end:
+            for child_id in children.unpack_from(data, pos):
+                if child_id != -1 and child_id not in objects:
+                    unresolved.setdefault(child_id, record)
+            pos += children.size
+        else:
+            refs: List[int] = []
+            inp.seek(pos)
+            _skip_payload(inp, schema, refs)
+            for child_id in refs:
+                if child_id not in objects:
+                    unresolved.setdefault(child_id, record)
+            pos = inp.position
+    if unresolved:
+        child_id, record = next(iter(unresolved.items()))
+        raise RestoreError(
+            f"checkpoint references unknown object id {child_id} "
+            f"from the record at offset {base_offset + record}"
+        )
+    return flagged, high
 
-    # Pass 2: apply payloads now that every referenced object can exist.
+
+def _restore_epoch(
+    data: bytes,
+    base_offset: int,
+    table: ObjectTable,
+    layouts: _Layouts,
+) -> int:
+    """Pass 2 over one epoch: restore its still-flagged objects.
+
+    Returns how many flags it cleared.
+    """
+    objects = table._objects
+    header = _HEADER.unpack_from
     inp = DataInputStream(data, base_offset)
-    for object_id, cls in entries:
-        inp.read_int32()
-        inp.read_int32()
-        obj = table[object_id]
-        obj.restore_local(inp, table)
-        obj._ckpt_info.modified = False
-    return [object_id for object_id, _ in entries]
+    restored = []
+    pos = 0
+    end = len(data)
+    while pos < end:
+        object_id, serial = header(data, pos)
+        pos += 8
+        obj = objects[object_id]
+        if obj._ckpt_info._modified:
+            inp.seek(pos)
+            obj.restore_local(inp, table)
+            pos = inp.position
+            restored.append(obj._ckpt_info)
+        else:
+            _, schema, children = layouts[serial]
+            if children is not None:
+                pos += children.size
+            else:
+                inp.seek(pos)
+                _skip_payload(inp, schema)
+                pos = inp.position
+    cleared = 0
+    for info in restored:
+        if info._modified:
+            info._modified = False
+            cleared += 1
+    return cleared
+
+
+def _replay_streams(
+    table: ObjectTable,
+    streams: Sequence[bytes],
+    registry: Optional[ClassRegistry],
+    serial_translation: Optional[Dict[int, int]],
+    base_offset: int = 0,
+    applied: Optional[List[int]] = None,
+) -> None:
+    """Fold a recovery line (oldest stream first) into ``table``.
+
+    The one replay routine; see the module docstring for its two passes.
+    ``applied``, when given, receives every record's object id in stream
+    order.
+    """
+    layouts = _Layouts(registry or DEFAULT_REGISTRY, serial_translation)
+    pending = 0
+    high = -1
+    offset = base_offset
+    offsets = []
+    for data in streams:
+        offsets.append(offset)
+        flagged, epoch_high = _validate_epoch(data, offset, table, layouts, applied)
+        pending += flagged
+        high = max(high, epoch_high)
+        DEFAULT_ALLOCATOR.advance_past(high)
+        offset += len(data)
+    # The newest stream is always scanned: a caller's table (see
+    # apply_incremental) may hold objects already flagged modified, which
+    # pass 1 cannot count but its one stream restores.
+    for index in range(len(streams) - 1, -1, -1):
+        pending -= _restore_epoch(streams[index], offsets[index], table, layouts)
+        if pending <= 0:
+            break
 
 
 def restore_full(
@@ -154,8 +322,7 @@ def restore_full(
 ) -> ObjectTable:
     """Rebuild an object table from a base (full) checkpoint."""
     table = ObjectTable()
-    apply_stream(data, table, registry, serial_translation)
-    DEFAULT_ALLOCATOR.advance_past(table.max_id())
+    _replay_streams(table, [data], registry, serial_translation)
     return table
 
 
@@ -166,9 +333,17 @@ def apply_incremental(
     serial_translation: Optional[Dict[int, int]] = None,
     base_offset: int = 0,
 ) -> List[int]:
-    """Fold one incremental delta into an existing table."""
-    applied = apply_stream(data, table, registry, serial_translation, base_offset)
-    DEFAULT_ALLOCATOR.advance_past(table.max_id())
+    """Fold one incremental delta into an existing table.
+
+    Returns the identifiers of the entries applied, in stream order, and
+    advances the id allocator past the largest of them. ``base_offset``
+    is the delta's position within its recovery line, which decode
+    errors report offsets against.
+    """
+    applied: List[int] = []
+    _replay_streams(
+        table, [data], registry, serial_translation, base_offset, applied
+    )
     return applied
 
 
@@ -180,17 +355,14 @@ def replay(
 ) -> ObjectTable:
     """Restore a full recovery line: base checkpoint plus deltas, in order.
 
-    Epoch data is treated as one concatenated byte sequence for error
-    reporting: a decode failure in the k-th delta names its offset within
-    the whole line, so the failing record can be located directly.
+    Every record is validated and each object is restored once, from its
+    newest record. Epoch data is treated as one concatenated byte
+    sequence for error reporting: a decode failure in the k-th delta
+    names its offset within the whole line, so the failing record can be
+    located directly.
     """
-    table = restore_full(base, registry, serial_translation)
-    offset = len(base)
-    for delta in deltas:
-        apply_incremental(
-            table, delta, registry, serial_translation, base_offset=offset
-        )
-        offset += len(delta)
+    table = ObjectTable()
+    _replay_streams(table, [base, *deltas], registry, serial_translation)
     return table
 
 

@@ -234,12 +234,21 @@ class DataInputStream:
                 f"{self._base + self._pos - 4}"
             )
         start = self._take(length)
-        return self._data[start : start + length].decode("utf-8")
+        try:
+            return self._data[start : start + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RestoreError(
+                f"invalid UTF-8 in string at offset {self._base + start + exc.start}"
+            ) from exc
 
     def read_bytes(self, count: int) -> bytes:
         """Read ``count`` raw bytes."""
         start = self._take(count)
         return self._data[start : start + count]
+
+    def seek(self, position: int) -> None:
+        """Move the read offset to ``position``, local to this stream's data."""
+        self._pos = position
 
     # -- accessors -------------------------------------------------------
 

@@ -159,6 +159,22 @@ class TestDataInputStream:
         with pytest.raises(RestoreError, match="offset 40"):
             inp.read_int32()
 
+    def test_invalid_utf8_raises_restore_error_at_the_byte(self):
+        # Length 2, then bytes that are not UTF-8: the decode failure must
+        # stay in the RestoreError family and name the absolute offset of
+        # the first bad byte (4 bytes of length prefix past base 100).
+        inp = DataInputStream(b"\x02\x00\x00\x00\xff\xfe", 100)
+        with pytest.raises(RestoreError, match="invalid UTF-8 in string at offset 104"):
+            inp.read_str()
+
+    def test_seek_moves_the_read_offset(self):
+        inp = DataInputStream(b"\x01\x00\x00\x00\x02\x00\x00\x00", 10)
+        inp.seek(4)
+        assert inp.read_int32() == 2
+        assert inp.absolute_position == 18
+        inp.seek(0)
+        assert inp.read_int32() == 1
+
     def test_absolute_position_tracks_base(self):
         inp = DataInputStream(b"\x00\x00\x00\x00", base_offset=12)
         assert inp.base_offset == 12
