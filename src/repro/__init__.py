@@ -58,7 +58,7 @@ from repro.core.fields import child, child_list, scalar, scalar_list
 from repro.core.info import CheckpointInfo
 from repro.core.replica import ReplicatedStore, Scrubber
 from repro.core.restore import apply_incremental, replay, restore_full
-from repro.core.storage import FileStore, MemoryStore
+from repro.core.storage import FileStore, MemoryStore, RetryingStore
 from repro.core.streams import DataInputStream, DataOutputStream
 from repro.core.retry import RetryPolicy, RetryStats
 from repro.runtime import (
@@ -119,6 +119,7 @@ __all__ = [
     "replay",
     "MemoryStore",
     "FileStore",
+    "RetryingStore",
     "ReplicatedStore",
     "Scrubber",
     "CheckpointSession",

@@ -867,7 +867,7 @@ def replication(
             ("configuration", "epochs", "acked", "degraded", "wall (s)"),
         )
 
-        def run_commits(sink_store, label, store_handle=None):
+        def run_commits(sink_store, label):
             roots = build_structures(3, 2, 3, 1)
             session = CheckpointSession(roots=roots, sink=StoreSink(sink_store))
             start = time.perf_counter()
@@ -877,17 +877,12 @@ def replication(
                 session.commit()
             session.flush()
             wall = time.perf_counter() - start
-            handle = store_handle or sink_store
-            last = getattr(handle, "last_commit", None) or {}
-            status = (
-                getattr(handle, "replica_status", lambda: [])() or []
-            )
-            degraded = sum(1 for s in status if s["state"] != "healthy")
+            receipt = session.history[-1].receipt
             result.add_row(
                 label,
                 epoch_count,
-                len(last.get("acked", [])) or "-",
-                degraded,
+                len(receipt.replicas_acked or []) or "-",
+                len(receipt.degraded_replicas or []),
                 round(wall, 4),
             )
             return wall

@@ -37,8 +37,13 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import StorageError
 from repro.core.lineage import AUTO
-from repro.core.retry import RetryPolicy, RetryStats
-from repro.core.storage import FULL, INCREMENTAL, CheckpointStore, Epoch
+from repro.core.storage import (
+    FULL,
+    INCREMENTAL,
+    AppendReceipt,
+    CheckpointStore,
+    Epoch,
+)
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
@@ -170,7 +175,8 @@ class ReplicatedStore(CheckpointStore):
     ``quarantine_epoch`` repair primitives). ``quorum`` defaults to a
     majority (``N // 2 + 1``); ``quorum=N`` makes every commit wait for
     all replicas, ``quorum=1`` makes replication purely asynchronous
-    repair fodder.
+    repair fodder. To retry a replica's transient failures, wrap that
+    child in a :class:`~repro.core.storage.RetryingStore`.
 
     The breaker fences a replica after ``fence_after`` consecutive
     failures (passing through ``suspect`` at ``suspect_after``); a
@@ -184,7 +190,6 @@ class ReplicatedStore(CheckpointStore):
         self,
         replicas: Sequence[CheckpointStore],
         quorum: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
         suspect_after: int = 1,
         fence_after: int = 3,
         probe_after: int = 4,
@@ -207,9 +212,6 @@ class ReplicatedStore(CheckpointStore):
                 f"{len(stores)} replica(s)"
             )
         self._quorum = quorum
-        self._retry = retry
-        #: retry accounting (count + notes), shared with commit receipts
-        self.retry_stats = RetryStats()
         self._suspect_after = max(1, suspect_after)
         self._fence_after = max(self._suspect_after, fence_after)
         self._probe_after = max(1, probe_after)
@@ -219,14 +221,12 @@ class ReplicatedStore(CheckpointStore):
             ReplicaState(name=name, store=store)
             for name, store in zip(names, stores)
         ]
-        #: receipt of the newest commit: index/acked/degraded/quorum
-        self._last_commit: Optional[dict] = None
         #: observability hooks; no-op singletons until :meth:`instrument`
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
-        # Guards the replica state machines, the RNG, and the last-commit
-        # receipt: a Scrubber thread repairs replicas while the committing
-        # thread appends, and both walk the same ReplicaState records.
+        # Guards the replica state machines and the RNG: a Scrubber
+        # thread repairs replicas while the committing thread appends,
+        # and both walk the same ReplicaState records.
         self._lock = threading.RLock()
 
     # -- observability ----------------------------------------------------
@@ -492,29 +492,6 @@ class ReplicatedStore(CheckpointStore):
 
     # -- quorum writes ----------------------------------------------------
 
-    def _append_one(
-        self,
-        rep: ReplicaState,
-        kind: str,
-        framed: bytes,
-        parent,
-        branch,
-        name,
-    ) -> int:
-        def attempt() -> int:
-            return rep.store.append(
-                kind, framed, parent=parent, branch=branch, name=name
-            )
-
-        if self._retry is None:
-            return attempt()
-        return self._retry.run(
-            attempt,
-            on_retry=lambda attempt_no, exc, _d: self.retry_stats.note(
-                f"replica:{rep.name}", attempt_no, exc
-            ),
-        )
-
     def append(
         self,
         kind: str,
@@ -523,10 +500,19 @@ class ReplicatedStore(CheckpointStore):
         parent=AUTO,
         branch: Optional[str] = None,
         name: Optional[str] = None,
+        receipt: Optional[AppendReceipt] = None,
     ) -> int:
+        """Fan the framed epoch out; returns its index once a quorum acked.
+
+        ``receipt`` goes to every child append (so their retries count on
+        it), then gets the acks, quorum, missed replicas and ``"durable"``
+        (all acked) or ``"quorum"``. A lost quorum raises, with the
+        receipt's durability put back to what it was before the fan-out.
+        """
         if kind not in _VALID_KINDS:
             raise StorageError(f"unknown checkpoint kind {kind!r}")
         framed = frame_record(data)
+        prior = receipt.durability if receipt is not None else None
         with self._lock:
             acked: List[str] = []
             degraded: List[str] = []
@@ -556,8 +542,13 @@ class ReplicatedStore(CheckpointStore):
                 participants.append(rep)
             for rep in participants:
                 try:
-                    got = self._append_one(
-                        rep, kind, framed, parent, branch, name
+                    got = rep.store.append(
+                        kind,
+                        framed,
+                        parent=parent,
+                        branch=branch,
+                        name=name,
+                        receipt=receipt,
                     )
                 except (StorageError, OSError) as exc:
                     self._note_failure(rep, exc)
@@ -588,14 +579,17 @@ class ReplicatedStore(CheckpointStore):
                 degraded=list(degraded),
                 quorum=self._quorum,
             )
+            if receipt is not None:
+                receipt.replicas_acked = list(acked)
+                receipt.replica_quorum = self._quorum
+                receipt.degraded_replicas = list(degraded)
+                if len(acked) == len(self._states):
+                    receipt.durability = "durable"
+                elif len(acked) >= self._quorum:
+                    receipt.durability = "quorum"
+                else:
+                    receipt.durability = prior
             if len(acked) < self._quorum:
-                self._last_commit = {
-                    "index": None,
-                    "acked": list(acked),
-                    "degraded": list(degraded),
-                    "quorum": self._quorum,
-                    "replicas": len(self._states),
-                }
                 raise StorageError(
                     f"write quorum lost: {len(acked)} of "
                     f"{len(self._states)} replica(s) acked, "
@@ -606,13 +600,6 @@ class ReplicatedStore(CheckpointStore):
                         else ""
                     )
                 )
-            self._last_commit = {
-                "index": index,
-                "acked": list(acked),
-                "degraded": list(degraded),
-                "quorum": self._quorum,
-                "replicas": len(self._states),
-            }
             return index  # type: ignore[return-value]
 
     # -- introspection ----------------------------------------------------
@@ -625,26 +612,9 @@ class ReplicatedStore(CheckpointStore):
     def replica_count(self) -> int:
         return len(self._states)
 
-    @property
-    def last_commit(self) -> Optional[dict]:
-        """Receipt of the newest append: index/acked/degraded/quorum."""
-        with self._lock:
-            return dict(self._last_commit) if self._last_commit else None
-
     def replica_status(self) -> List[dict]:
         with self._lock:
             return [rep.status() for rep in self._states]
-
-    def durability(self) -> str:
-        """``"durable"`` when every replica acked the newest commit,
-        ``"quorum"`` when only a write quorum did."""
-        with self._lock:
-            last = self._last_commit
-            if last is None:
-                return "durable"
-            if len(last["acked"]) >= len(self._states):
-                return "durable"
-            return "quorum"
 
     def undurable_counts(self) -> Dict[str, int]:
         """Per replica, how many quorum-committed epochs it is missing."""
@@ -667,10 +637,10 @@ class ReplicatedStore(CheckpointStore):
     # -- lifecycle --------------------------------------------------------
 
     def flush(self, timeout: Optional[float] = None) -> None:
-        """Repair behind/fenced replicas now and flush flushable children.
+        """Repair behind/fenced replicas now, then flush every child.
 
-        ``timeout`` is forwarded to children that accept one; the
-        catch-up sweep itself is synchronous. Repair failures stay on
+        ``timeout`` is forwarded to each child's flush; the catch-up
+        sweep itself is synchronous. Repair failures stay on
         the breaker (they do not raise) — flush means "as durable as
         the healthy replica set allows", and the health state records
         who is not.
@@ -687,20 +657,13 @@ class ReplicatedStore(CheckpointStore):
                     rep.failures = 0
             stores = [rep.store for rep in self._states]
         for store in stores:
-            child_flush = getattr(store, "flush", None)
-            if callable(child_flush):
-                try:
-                    child_flush(timeout)
-                except TypeError:
-                    child_flush()
+            store.flush(timeout)
 
-    def close(self) -> None:
+    def close(self, timeout: Optional[float] = None) -> None:
         with self._lock:
             stores = [rep.store for rep in self._states]
         for store in stores:
-            child_close = getattr(store, "close", None)
-            if callable(child_close):
-                child_close()
+            store.close(timeout)
 
 
 class Scrubber:

@@ -72,10 +72,6 @@ class ObjectTable:
     def objects(self) -> Iterable[Checkpointable]:
         return self._objects.values()
 
-    def max_id(self) -> int:
-        """Largest identifier in the table (−1 when empty)."""
-        return max(self._objects, default=-1)
-
 
 def _skip_payload(
     inp: DataInputStream,

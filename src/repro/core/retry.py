@@ -122,7 +122,7 @@ class RetryPolicy:
         """Call ``fn`` under this policy; returns its value.
 
         ``on_retry(attempt, exc, delay)`` is invoked before each sleep —
-        the accounting hook receipts and writers use to count retries.
+        the hook :class:`~repro.core.storage.RetryingStore` counts with.
         Permanent errors, exhausted attempts, and a blown deadline all
         re-raise the last exception unchanged.
         """
@@ -168,7 +168,7 @@ class RetryPolicy:
 
 @dataclass
 class RetryStats:
-    """Mutable retry accounting shared by a store/sink and its receipts."""
+    """Retry accounting: the retry half of an append receipt."""
 
     retries: int = 0
     #: human-readable notes of what was retried ("append retry 1: ...")

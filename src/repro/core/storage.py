@@ -10,11 +10,16 @@ number, a length and a CRC-32, and recovery silently discards a torn tail
 (a partially written final epoch), which is exactly the state a crash
 mid-checkpoint leaves behind.
 
-:class:`BackgroundWriter` implements the paper's "written from the output
-stream to stable storage asynchronously": the application thread enqueues
-epoch bytes and continues; a writer thread drains them to the underlying
-store in order. Write failures are surfaced on the next ``append``,
-``flush`` or ``close``.
+Every store layer implements the :class:`CheckpointStore` protocol.
+:class:`StoreDecorator` layers add behaviour over another store and pass
+the rest of the protocol through: :class:`RetryingStore` retries
+transient append failures, and :class:`BackgroundWriter` implements the
+paper's "written from the output stream to stable storage
+asynchronously" (the application thread enqueues epoch bytes and
+continues; a writer thread drains them to the underlying store in
+order; write failures surface on the next ``append``, ``flush`` or
+``close``). Each layer writes what only it knows onto an append's
+:class:`AppendReceipt`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import struct
 import threading
 import time
 import zlib
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.core.errors import StorageError
@@ -110,8 +116,39 @@ def _implied_lineage(index: int) -> dict:
     }
 
 
+@dataclass
+class AppendReceipt(RetryStats):
+    """What the store layers did with one appended epoch.
+
+    The caller passes one to ``append(..., receipt=...)`` and every layer
+    the epoch passes through writes the fields it alone can answer: a
+    :class:`RetryingStore` its retries (the inherited ``retries`` and
+    ``events``), a :class:`BackgroundWriter` ``"queued"``, a
+    :class:`~repro.core.replica.ReplicatedStore` its acks and quorum.
+    """
+
+    #: ``"durable"`` (persisted by every store that took it),
+    #: ``"quorum"`` (by a write quorum of replicas only), ``"queued"``
+    #: (handed to an asynchronous writer), ``"discarded"``, or
+    #: ``"unknown"`` while no layer has answered
+    durability: str = "unknown"
+    #: replicas that acked the epoch (replicated stores only, else None)
+    replicas_acked: Optional[List[str]] = None
+    #: write quorum the append had to meet (replicated stores only)
+    replica_quorum: Optional[int] = None
+    #: replicas that missed the epoch — fenced or failing
+    degraded_replicas: Optional[List[str]] = None
+
+
 class CheckpointStore:
-    """Interface shared by the in-memory and file-backed stores."""
+    """The protocol every store layer implements.
+
+    Reads not overridden here derive from :meth:`epochs`,
+    :meth:`recover` and :meth:`_serial_translation`; the lifecycle hooks
+    (:meth:`flush`, :meth:`close`, :meth:`instrument`, :meth:`prune`)
+    default to doing nothing, so a caller never has to ask whether a
+    store supports them.
+    """
 
     def append(
         self,
@@ -121,7 +158,8 @@ class CheckpointStore:
         parent=AUTO,
         branch: Optional[str] = None,
         name: Optional[str] = None,
-    ) -> int:
+        receipt: Optional[AppendReceipt] = None,
+    ) -> Optional[int]:
         """Store one checkpoint; returns its epoch index.
 
         ``parent=AUTO`` (the default) chains the epoch onto the head of
@@ -129,9 +167,33 @@ class CheckpointStore:
         the old linear behaviour exactly. An explicit parent index pins
         the epoch into the graph — the first commit after a session
         restore or fork does this. ``name`` pins the epoch under a
-        store-unique checkpoint name.
+        store-unique checkpoint name. ``receipt``, when given, is
+        filled in by every layer the epoch passes through. A layer that
+        only queues the epoch returns ``None``: its index is assigned
+        later, by the store that writes it.
         """
         raise NotImplementedError
+
+    def flush(self, timeout: Optional[float] = None) -> None:
+        """Block until every appended epoch is durable (no-op by default)."""
+
+    def close(self, timeout: Optional[float] = None) -> None:
+        """Flush and release resources (no-op by default)."""
+
+    def instrument(self, tracer, metrics) -> None:
+        """Attach a tracer/metrics pair (no-op for stores that emit none)."""
+
+    def undurable_counts(self) -> Dict[str, int]:
+        """Per replica, how many committed epochs it is missing."""
+        return {}
+
+    def prune(self) -> None:
+        """Drop the epochs the lineage graph no longer protects.
+
+        Compaction calls this after appending its new base. An epoch is
+        protected iff it is on the base chain of some branch head or
+        named checkpoint. Stores that never delete keep everything.
+        """
 
     def epochs(self) -> List[Epoch]:
         """All intact epochs, oldest first."""
@@ -244,6 +306,7 @@ class MemoryStore(CheckpointStore):
         parent=AUTO,
         branch: Optional[str] = None,
         name: Optional[str] = None,
+        receipt: Optional[AppendReceipt] = None,
     ) -> int:
         if kind not in _KIND_CODES:
             raise StorageError(f"unknown checkpoint kind {kind!r}")
@@ -272,6 +335,8 @@ class MemoryStore(CheckpointStore):
             self._last_branch = branch
             if name is not None:
                 self._names[name] = index
+        if receipt is not None:
+            receipt.durability = "durable"
         return index
 
     def _branch_of(self, index: int) -> str:
@@ -483,6 +548,7 @@ class FileStore(CheckpointStore):
         parent=AUTO,
         branch: Optional[str] = None,
         name: Optional[str] = None,
+        receipt: Optional[AppendReceipt] = None,
     ) -> int:
         if kind not in _KIND_CODES:
             raise StorageError(f"unknown checkpoint kind {kind!r}")
@@ -559,6 +625,8 @@ class FileStore(CheckpointStore):
             self._last_branch = branch
             if name is not None:
                 self._names[name] = index
+        if receipt is not None:
+            receipt.durability = "durable"
         return index
 
     def _branch_of(self, index: int) -> str:
@@ -617,6 +685,11 @@ class FileStore(CheckpointStore):
                 self._lineage.pop(index, None)
             self._rebuild_maps()
             self._write_manifest()
+
+    def prune(self) -> None:
+        after = self.lineage()
+        protected = after.protected()
+        self.remove(i for i in after.indices() if i not in protected)
 
     def _rebuild_maps(self) -> None:
         """Recompute branch tips / names from the files on disk.
@@ -878,7 +951,83 @@ class FileStore(CheckpointStore):
         return registry.serial_translation(classes)
 
 
-class BackgroundWriter(CheckpointStore):
+class StoreDecorator(CheckpointStore):
+    """A store layer over another store, ``backing``.
+
+    Every protocol method except :meth:`append` passes straight through
+    to ``backing``, so a layer overrides only what it changes. The reads
+    the base class derives (``lineage``, ``recovery_line``,
+    ``materialize``) go through this layer's own :meth:`epochs` and
+    :meth:`recover`.
+    """
+
+    def __init__(self, backing: CheckpointStore) -> None:
+        self.backing = backing
+
+    def epochs(self) -> List[Epoch]:
+        return self.backing.epochs()
+
+    def epoch_map(self) -> Dict[int, Epoch]:
+        return self.backing.epoch_map()
+
+    def put_epoch(self, epoch: Epoch, overwrite: bool = False) -> None:
+        self.backing.put_epoch(epoch, overwrite=overwrite)
+
+    def quarantine_epoch(self, index: int, reason: str = "") -> Optional[str]:
+        return self.backing.quarantine_epoch(index, reason)
+
+    def recover(self, registry=None, at=None) -> ObjectTable:
+        return self.backing.recover(registry, at=at)
+
+    def _serial_translation(self, registry):
+        return self.backing._serial_translation(registry)
+
+    def flush(self, timeout: Optional[float] = None) -> None:
+        self.backing.flush(timeout)
+
+    def close(self, timeout: Optional[float] = None) -> None:
+        self.backing.close(timeout)
+
+    def instrument(self, tracer, metrics) -> None:
+        self.backing.instrument(tracer, metrics)
+
+    def undurable_counts(self) -> Dict[str, int]:
+        return self.backing.undurable_counts()
+
+    def prune(self) -> None:
+        self.backing.prune()
+
+
+class RetryingStore(StoreDecorator):
+    """Retry the backing store's transient append failures under a policy.
+
+    The one layer that runs a :class:`~repro.core.retry.RetryPolicy`;
+    its position in the stack says which thread retries: under a sink,
+    the committing thread; under a :class:`BackgroundWriter`, the writer
+    thread; under each replica of a
+    :class:`~repro.core.replica.ReplicatedStore`, that replica's slot of
+    the fan-out. Every retry is counted on the append's receipt, with a
+    note naming the error. The layer holds no mutable state.
+    """
+
+    def __init__(self, backing: CheckpointStore, policy: RetryPolicy) -> None:
+        super().__init__(backing)
+        self.policy = policy
+
+    def append(self, kind, data, *, receipt=None, **lineage) -> Optional[int]:
+        def note(attempt: int, exc: BaseException, _delay: float) -> None:
+            if receipt is not None:
+                receipt.note("append", attempt, exc)
+
+        return self.policy.run(
+            lambda: self.backing.append(
+                kind, data, receipt=receipt, **lineage
+            ),
+            on_retry=note,
+        )
+
+
+class BackgroundWriter(StoreDecorator):
     """Asynchronous front for another store (one ordered writer thread).
 
     ``append`` returns as soon as the epoch is queued — the paper's
@@ -886,8 +1035,8 @@ class BackgroundWriter(CheckpointStore):
     are written in submission order. ``flush`` blocks until everything
     queued so far is durable; ``close`` flushes and stops the thread.
 
-    Transient backing failures are retried in the writer thread when a
-    :class:`~repro.core.retry.RetryPolicy` is supplied; an epoch is only
+    Put a :class:`RetryingStore` under the writer to retry transient
+    backing failures in the writer thread; an epoch is then only
     declared failed once its policy is exhausted, so injected transient
     faults lose nothing. Remaining failures are **fail-stop**: once a
     backing write fails for good, no later epoch is written (an epoch
@@ -908,16 +1057,8 @@ class BackgroundWriter(CheckpointStore):
 
     _STOP = object()
 
-    def __init__(
-        self,
-        backing: CheckpointStore,
-        max_queued: int = 64,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        self.backing = backing
-        self._retry = retry
-        #: retry accounting (count + notes), shared with commit receipts
-        self.retry_stats = RetryStats()
+    def __init__(self, backing: CheckpointStore, max_queued: int = 64) -> None:
+        super().__init__(backing)
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_queued)
         #: guards the failure/degradation state shared between the drain
         #: thread and caller threads (_error/_failed/_cause/dropped,
@@ -948,7 +1089,8 @@ class BackgroundWriter(CheckpointStore):
     def instrument(self, tracer, metrics) -> None:
         """Attach a tracer/metrics pair (only replaces no-op defaults).
 
-        The drain thread reads these attributes without a lock, which is
+        The hooks in force are then passed on to the backing store. The
+        drain thread reads these attributes without a lock, which is
         safe: both emit paths tolerate either the old or the new hook, and
         exporter errors never propagate out of the tracer.
         """
@@ -957,34 +1099,10 @@ class BackgroundWriter(CheckpointStore):
                 self.tracer = tracer
             if self.metrics is NULL_METRICS:
                 self.metrics = metrics
+            tracer, metrics = self.tracer, self.metrics
+        self.backing.instrument(tracer, metrics)
 
     # -- writer thread ---------------------------------------------------
-
-    def _append_backing(self, kind: str, data: bytes, lineage: dict):
-        """One backing write, under the retry policy when there is one.
-
-        ``lineage`` carries the ``parent``/``branch``/``name`` keywords
-        queued with the epoch. An ``AUTO`` parent is resolved by the
-        backing store *at drain time* — the queue is FIFO, so the head
-        of the target branch is exactly what it would have been had the
-        append been synchronous. All-default lineage is not forwarded,
-        so minimal ``append(kind, data)`` stores keep working behind
-        the writer.
-        """
-        if (
-            lineage["parent"] is AUTO
-            and lineage["branch"] is None
-            and lineage["name"] is None
-        ):
-            lineage = {}
-        if self._retry is None:
-            return self.backing.append(kind, data, **lineage)
-        return self._retry.run(
-            lambda: self.backing.append(kind, data, **lineage),
-            on_retry=lambda attempt, exc, _d: self.retry_stats.note(
-                "append", attempt, exc
-            ),
-        )
 
     def _drain(self) -> None:
         while True:
@@ -1002,7 +1120,7 @@ class BackgroundWriter(CheckpointStore):
                 instrumented = self.tracer.enabled or self.metrics.enabled
                 start = time.perf_counter() if instrumented else 0.0
                 try:
-                    self._append_backing(kind, data, lineage)
+                    self.backing.append(kind, data, **lineage)
                 except BaseException as exc:  # surfaced on the next call
                     with self._state_lock:
                         self._error = exc
@@ -1079,7 +1197,7 @@ class BackgroundWriter(CheckpointStore):
                     continue
                 kind, data, lineage = item
                 try:
-                    self._append_backing(kind, data, lineage)
+                    self.backing.append(kind, data, **lineage)
                 except BaseException as exc:
                     with self._state_lock:
                         self._error = exc
@@ -1112,14 +1230,11 @@ class BackgroundWriter(CheckpointStore):
         replicas are missing how many quorum-committed epochs; a flush
         timeout should name them, not just the aggregate queue depth.
         """
-        counts = getattr(self.backing, "undurable_counts", None)
-        if not callable(counts):
-            return ""
         try:
-            per_replica = counts()
+            per_replica = self.backing.undurable_counts()
         except (StorageError, OSError):
             return ""
-        if not per_replica or not any(per_replica.values()):
+        if not any(per_replica.values()):
             return ""
         detail = ", ".join(
             f"{name}={count}"
@@ -1129,44 +1244,34 @@ class BackgroundWriter(CheckpointStore):
         return f" (per-replica undurable epochs: {detail})"
 
     def _flush_backing(self, deadline: Optional[float]) -> None:
-        """Propagate flush into the backing store when it supports one.
+        """Flush the backing store with whatever is left of ``deadline``.
 
         A wrapped :class:`~repro.core.replica.ReplicatedStore` uses this
         to drive catch-up repair of behind replicas and to flush its own
         children, so ``flush`` really means "durable on a quorum", not
         merely "left my queue".
         """
-        backing_flush = getattr(self.backing, "flush", None)
-        if not callable(backing_flush):
-            return
         remaining = None
         if deadline is not None:
             remaining = max(0.0, deadline - time.monotonic())
-        backing_flush(remaining)
+        self.backing.flush(remaining)
 
     # -- CheckpointStore interface ------------------------------------------
 
-    def append(
-        self,
-        kind: str,
-        data: bytes,
-        *,
-        parent=AUTO,
-        branch: Optional[str] = None,
-        name: Optional[str] = None,
-    ) -> int:
-        """Queue one epoch for writing; returns the queue position.
+    def append(self, kind, data, *, receipt=None, **lineage) -> Optional[int]:
+        """Queue one epoch for writing; returns ``None``.
 
         The durable epoch index is assigned by the backing store when the
         writer thread gets to it; use :meth:`flush` + ``backing.epochs()``
-        when exact indices matter. Lineage keywords travel with the
-        queued epoch (an ``AUTO`` parent resolves at drain time, which
-        the FIFO queue makes equivalent to a synchronous append). After
-        a write failure every append raises: the writer is fail-stop.
-        After the writer *thread* dies, appends degrade to synchronous
-        writes (and return the real index).
+        when exact indices matter. The receipt reads ``"queued"`` and is
+        not passed on: the layers below write the epoch later, on the
+        writer thread. Lineage keywords travel with the queued epoch (an
+        ``AUTO`` parent resolves at drain time, which the FIFO queue
+        makes equivalent to a synchronous append). After a write failure
+        every append raises: the writer is fail-stop. After the writer
+        *thread* dies, appends degrade to synchronous writes: they pass
+        the receipt down and return the real index.
         """
-        lineage = {"parent": parent, "branch": branch, "name": name}
         with self._state_lock:
             if self._failed:
                 # appends report it; no need to re-raise later
@@ -1185,7 +1290,9 @@ class BackgroundWriter(CheckpointStore):
             with self._state_lock:
                 self.sync_writes += 1
             try:
-                return self._append_backing(kind, bytes(data), lineage)
+                return self.backing.append(
+                    kind, bytes(data), receipt=receipt, **lineage
+                )
             except BaseException as exc:
                 with self._state_lock:
                     self._failed = True
@@ -1196,7 +1303,9 @@ class BackgroundWriter(CheckpointStore):
                 ) from exc
         self._idle.clear()
         self._queue.put((kind, bytes(data), lineage))
-        return self._queue.qsize()
+        if receipt is not None:
+            receipt.durability = "queued"
+        return None
 
     def _pending(self) -> int:
         """Epochs accepted by :meth:`append` but not yet durable."""
@@ -1249,9 +1358,7 @@ class BackgroundWriter(CheckpointStore):
             self._thread.join(timeout)
         self._check()
         self._flush_backing(deadline)
-        backing_close = getattr(self.backing, "close", None)
-        if callable(backing_close):
-            backing_close()
+        self.backing.close()
 
     def epochs(self) -> List[Epoch]:
         """Durable epochs (pending queued writes are not yet included)."""
@@ -1263,10 +1370,6 @@ class BackgroundWriter(CheckpointStore):
     def recover(self, registry=None, at=None):
         self.flush()
         return self.backing.recover(registry, at=at)
-
-    def materialize(self, target, registry=None):
-        self.flush()
-        return self.backing.materialize(target, registry)
 
     def __enter__(self) -> "BackgroundWriter":
         return self
@@ -1287,11 +1390,12 @@ def compact(
     compaction replays the chain of ``branch``'s tip (default: the
     newest epoch's branch), records every live object into a new full
     epoch, and appends it onto that branch. With ``keep_history=False``
-    (the default) the file-backed store then deletes every epoch the
-    lineage graph no longer protects: an epoch survives iff it is on
-    the base chain of some branch head or named checkpoint. Compaction
-    therefore never cuts across a branch point or a named pin — other
-    branches and every pin keep their full recovery lines.
+    (the default) the store then prunes every epoch the lineage graph no
+    longer protects (:meth:`CheckpointStore.prune`; only stores that
+    delete, like :class:`FileStore`, do anything): an epoch survives iff
+    it is on the base chain of some branch head or named checkpoint.
+    Compaction therefore never cuts across a branch point or a named
+    pin — other branches and every pin keep their full recovery lines.
 
     For a linear, unnamed store the protected set is exactly the new
     base, reproducing the old delete-everything-below behaviour.
@@ -1326,8 +1430,6 @@ def compact(
         FULL, out.getvalue(), parent=head, branch=head_epoch.branch
     )
 
-    if not keep_history and isinstance(store, FileStore):
-        after = store.lineage()
-        protected = after.protected()
-        store.remove(i for i in after.indices() if i not in protected)
+    if not keep_history:
+        store.prune()
     return new_index

@@ -10,15 +10,16 @@ stack the session commits through, the script it runs, and the restart
 check:
 
 ``store``
-    A retrying ``StoreSink(FaultyStore(FileStore))`` under the linear
+    ``StoreSink(RetryingStore(FaultyStore(FileStore)))`` under the linear
     script. The restart repairs the directory with
     :class:`~repro.fsck.manager.RecoveryManager`, recovers from a fresh
     store, and demands the recovered table be byte-identical to the
     reference at the durable epoch count and ``fsck`` report the
     directory consistent.
 ``background``
-    The same ``FaultyStore(FileStore)`` behind a retrying
-    :class:`~repro.core.storage.BackgroundWriter`; the same check.
+    The same retrying ``FaultyStore(FileStore)`` stack behind a
+    :class:`~repro.core.storage.BackgroundWriter`, so retries run on the
+    writer thread; the same check.
 ``branch``
     The ``store`` stack under the time-travel script (commit, named pin,
     restore, fork), with the ``crash-restore`` / ``crash-fork`` points
@@ -26,7 +27,7 @@ check:
     surviving repair, on both sides of every branch point, materialize
     byte-identically.
 ``replica``
-    A :class:`~repro.core.replica.ReplicatedStore` over
+    A :class:`~repro.core.replica.ReplicatedStore` over retrying
     :class:`~repro.faults.inject.ReplicaFaultStore` children under the
     linear script. The restart scrubs, fscks every replica, requires
     byte-identical replicas, recovers through the quorum view, and flags
@@ -52,7 +53,12 @@ from repro.core.ids import DEFAULT_ALLOCATOR
 from repro.core.replica import ReplicatedStore
 from repro.core.restore import ObjectTable
 from repro.core.retry import RetryPolicy
-from repro.core.storage import _HEADER, BackgroundWriter, FileStore
+from repro.core.storage import (
+    _HEADER,
+    BackgroundWriter,
+    FileStore,
+    RetryingStore,
+)
 from repro.core.streams import DataOutputStream
 from repro.faults.inject import FaultyStore, InjectedCrash, ReplicaFaultStore
 from repro.faults.plan import (
@@ -410,14 +416,14 @@ class CrashSim:
         stream = FaultPlan([s for s in scenario.plan if s.kind in ALL_KINDS])
         if scenario.path != "replica":
             faulty = FaultyStore(FileStore(directory), stream)
+            retrying = RetryingStore(faulty, _RETRY)
             if scenario.path == "background":
-                writer = BackgroundWriter(faulty, retry=_RETRY)
-                return StoreSink(writer), [faulty]
-            return StoreSink(faulty, retry=_RETRY), [faulty]
+                return StoreSink(BackgroundWriter(retrying)), [faulty]
+            return StoreSink(retrying), [faulty]
         targeted = FaultPlan(
             [s for s in scenario.plan if s.kind in REPLICA_KINDS]
         )
-        children: List[ReplicaFaultStore] = []
+        children: List[RetryingStore] = []
         faults: list = []
         for ordinal, child_dir in enumerate(_replica_dirs(scenario, directory)):
             child = FileStore(child_dir)
@@ -426,12 +432,12 @@ class CrashSim:
             if ordinal == 0 and len(stream):
                 child = FaultyStore(child, stream)
                 stream_faults = [child]
-            children.append(ReplicaFaultStore(child, targeted, ordinal))
-            faults += [children[-1], *stream_faults]
+            replica_faults = ReplicaFaultStore(child, targeted, ordinal)
+            children.append(RetryingStore(replica_faults, _RETRY))
+            faults += [replica_faults, *stream_faults]
         store = ReplicatedStore(
             children,
             quorum=scenario.quorum,
-            retry=_RETRY,
             # tight breaker so a six-epoch workload exercises
             # fence + probe, not just suspicion
             suspect_after=1,
@@ -479,11 +485,10 @@ class CrashSim:
             finally:
                 # A dead process cannot close anything, but the simulator
                 # must not leak writer threads across hundreds of scenarios.
-                if isinstance(sink.store, BackgroundWriter):
-                    try:
-                        sink.store.close(timeout=5.0)
-                    except (StorageError, OSError):
-                        pass
+                try:
+                    sink.store.close(timeout=5.0)
+                except (StorageError, OSError):
+                    pass
         if scenario.path == "replica":
             result.injected = _replica_states(sink.store)
         result.injected += [note for fault in faults for note in fault.injected]

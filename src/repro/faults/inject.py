@@ -1,5 +1,9 @@
 """Fault-injecting wrappers around stores.
 
+Both wrappers are :class:`~repro.core.storage.StoreDecorator` layers:
+they override ``append`` (``ReplicaFaultStore`` also every read) and
+pass the rest of the store protocol through unchanged.
+
 :class:`FaultyStore` wraps any :class:`~repro.core.storage.CheckpointStore`
 and executes a :class:`~repro.faults.plan.FaultPlan` against its
 ``append`` stream: transient errors, stalls, torn writes, bit flips, and
@@ -7,9 +11,12 @@ crash points. Faults that manipulate bytes on disk (``torn``,
 ``bitflip``, ``crash-tmp``) require a file-backed store underneath.
 
 A whole :class:`~repro.runtime.session.CheckpointSession` commits
-through a plan unchanged when its sink's store is wrapped::
+through a plan unchanged when its sink's store is wrapped; a
+:class:`~repro.core.storage.RetryingStore` above the fault layer absorbs
+the transient faults::
 
-    sink = StoreSink(FaultyStore(FileStore(path), plan), retry=RetryPolicy())
+    faulty = FaultyStore(FileStore(path), plan)
+    sink = StoreSink(RetryingStore(faulty, RetryPolicy()))
     session = CheckpointSession(roots=root, sink=sink)
 
 :class:`ReplicaFaultStore` arms replica-scoped kinds on one child of a
@@ -31,7 +38,12 @@ import time
 from typing import Dict, List
 
 from repro.core.errors import CheckpointError
-from repro.core.storage import CheckpointStore, Epoch, FileStore
+from repro.core.storage import (
+    CheckpointStore,
+    Epoch,
+    FileStore,
+    StoreDecorator,
+)
 from repro.faults.plan import (
     BITFLIP,
     CORRUPT_REPLICA,
@@ -72,7 +84,7 @@ def _file_store(store: CheckpointStore) -> FileStore:
     return store
 
 
-class FaultyStore(CheckpointStore):
+class FaultyStore(StoreDecorator):
     """Execute a fault plan against the wrapped store's append stream.
 
     ``ops`` counts *logical* append operations: a transient fault does
@@ -98,7 +110,7 @@ class FaultyStore(CheckpointStore):
                     f"fault kind {spec.kind!r} targets one replica of a "
                     "ReplicatedStore; arm it with ReplicaFaultStore"
                 )
-        self.backing = backing
+        super().__init__(backing)
         self.plan = plan
         self._sleep = sleep
         #: logical append operations completed or crashed
@@ -187,14 +199,8 @@ class FaultyStore(CheckpointStore):
             raise InjectedCrash(f"crash after append of epoch {index}")
         raise AssertionError(f"unhandled fault kind {spec.kind!r}")
 
-    def epochs(self) -> List[Epoch]:
-        return self.backing.epochs()
 
-    def recover(self, registry=None, at=None):
-        return self.backing.recover(registry, at=at)
-
-
-class ReplicaFaultStore(CheckpointStore):
+class ReplicaFaultStore(StoreDecorator):
     """Execute replica-targeted faults against *one* replica's stream.
 
     Wrap each child of a :class:`~repro.core.replica.ReplicatedStore`
@@ -203,8 +209,8 @@ class ReplicaFaultStore(CheckpointStore):
     appends the replicated store fans out, so every wrapper sees the
     same op numbering.
 
-    ``kill-replica`` makes every subsequent operation raise ``OSError``
-    (a pulled volume — the process survives). ``corrupt-replica-record``
+    ``kill-replica`` makes every subsequent append, read and repair
+    raise ``OSError`` (a pulled volume — the process survives). ``corrupt-replica-record``
     and ``torn-replica-write`` let the append succeed, then damage the
     stored record *through* :meth:`put_epoch`, which recomputes the
     child store's CRC frame — so the damage is invisible to the child
@@ -219,7 +225,7 @@ class ReplicaFaultStore(CheckpointStore):
         plan: FaultPlan,
         replica: int,
     ) -> None:
-        self.backing = backing
+        super().__init__(backing)
         self.plan = plan
         self.replica = replica
         #: append operations observed by this wrapper

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.checkpoint import (
@@ -50,7 +50,7 @@ from repro.core.lineage import AUTO, MAIN_BRANCH, EpochRef, Lineage
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
 from repro.core.restore import ObjectTable
 from repro.core.retry import RetryPolicy
-from repro.core.storage import FULL, INCREMENTAL, _KIND_CODES
+from repro.core.storage import FULL, INCREMENTAL, _KIND_CODES, AppendReceipt
 from repro.core.streams import DataOutputStream
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
@@ -103,19 +103,19 @@ def _roots_provider(roots: RootsLike) -> Callable[[], Sequence[Checkpointable]]:
 
 
 @dataclass
-class CommitReceipt:
+class CommitReceipt(AppendReceipt):
     """The durability story of one commit.
 
-    Produced for every persisted commit: what the sink did with the
-    epoch, how many transient failures were retried on the way, and any
-    degradation the runtime performed to keep the delta chain sound
-    (strategy fallback, escalation of the next epoch to a full).
+    Produced for every persisted commit. The store-facing fields —
+    ``durability``, ``retries``, ``replicas_acked``, ``replica_quorum``,
+    ``degraded_replicas`` — are written by the sink and store layers the
+    epoch passed through (see :class:`~repro.core.storage.AppendReceipt`);
+    the session adds any degradation it performed to keep the delta
+    chain sound (strategy fallback, escalation of the next epoch to a
+    full). ``events`` is the human-readable record of every
+    degradation, escalation and retry.
     """
 
-    #: ``"durable"`` / ``"queued"`` / ``"buffered"`` / ``"discarded"``
-    durability: str = "unknown"
-    #: transient failures retried while persisting this epoch
-    retries: int = 0
     #: the strategy raised and the generic checked driver took over
     degraded: bool = False
     #: this epoch was escalated to a full checkpoint to repair the chain
@@ -124,14 +124,6 @@ class CommitReceipt:
     failed_wall_seconds: Optional[float] = None
     #: wall time of the checked-driver re-record after the fallback
     fallback_wall_seconds: Optional[float] = None
-    #: replicas that acked this epoch (replicated sinks only, else None)
-    replicas_acked: Optional[List[str]] = None
-    #: write quorum the commit had to meet (replicated sinks only)
-    replica_quorum: Optional[int] = None
-    #: replicas that missed the epoch — fenced or failing (replicated sinks)
-    degraded_replicas: Optional[List[str]] = None
-    #: human-readable record of every degradation/escalation/retry event
-    events: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -181,9 +173,11 @@ class CheckpointSession:
         Where epochs go — anything :func:`~repro.runtime.sink.sink_for`
         accepts: ``None``, a store, a directory path, or a sink.
     retry:
-        Optional :class:`~repro.core.retry.RetryPolicy` attached to the
-        sink this session builds: transient persistence failures are
-        retried on the commit path and counted in the commit's receipt.
+        Optional :class:`~repro.core.retry.RetryPolicy`: the store the
+        session coerces ``sink`` into is wrapped in a
+        :class:`~repro.core.storage.RetryingStore`, so transient
+        persistence failures are retried on the commit path and counted
+        in the commit's receipt.
     class_registry:
         The :class:`~repro.core.registry.ClassRegistry` used for recovery
         and compaction (default: the process-wide registry).
@@ -713,9 +707,8 @@ class CheckpointSession:
     def _persist(
         self, result: CommitResult, name: Optional[str] = None
     ) -> None:
+        # every persisted commit carries a receipt (only measure() has none)
         receipt = result.receipt
-        stats = getattr(self.sink, "retry_stats", None)
-        retries_before = stats.retries if stats is not None else 0
         with self._state_lock:
             parent = self._pending_parent
             branch = self._branch
@@ -725,6 +718,7 @@ class CheckpointSession:
             parent=AUTO if parent is None else parent,
             branch=branch,
             name=name,
+            receipt=receipt,
         )
         result.branch = branch
         result.epoch_name = name
@@ -734,19 +728,10 @@ class CheckpointSession:
             with self._state_lock:
                 if self._pending_parent == parent:
                     self._pending_parent = None
-            if receipt is not None:
-                receipt.events.append(
-                    f"pinned to parent epoch {parent} (first commit after "
-                    "restore/fork)"
-                )
-        if receipt is not None:
-            if stats is not None:
-                put_retries = stats.retries - retries_before
-                receipt.retries += put_retries
-                if put_retries:
-                    receipt.events.extend(stats.events[-put_retries:])
-            receipt.durability = self.sink.durability()
-            self._fill_replica_receipt(receipt)
+            receipt.events.append(
+                f"pinned to parent epoch {parent} (first commit after "
+                "restore/fork)"
+            )
         with self._state_lock:
             self.commits += 1
             self.bytes_written += result.size
@@ -766,22 +751,6 @@ class CheckpointSession:
             self.history.append(result)
         self._record_commit(result)
 
-    def _fill_replica_receipt(self, receipt: CommitReceipt) -> None:
-        """Copy the replicated store's commit receipt onto ours (if any).
-
-        Unwraps a :class:`~repro.core.storage.BackgroundWriter` front;
-        behind one, the numbers describe the newest *drained* epoch, not
-        necessarily this still-queued one.
-        """
-        store = getattr(self.sink, "store", None)
-        store = getattr(store, "backing", store)
-        last = getattr(store, "last_commit", None)
-        if not isinstance(last, dict):
-            return
-        receipt.replicas_acked = list(last.get("acked") or [])
-        receipt.replica_quorum = last.get("quorum")
-        receipt.degraded_replicas = list(last.get("degraded") or [])
-
     def _record_commit(self, result: CommitResult) -> None:
         """Emit the commit's trace record and metrics (observers only)."""
         receipt = result.receipt
@@ -796,25 +765,15 @@ class CheckpointSession:
                 bytes=result.size,
                 epoch_index=result.epoch_index,
                 compacted=result.compacted,
-                durability=receipt.durability if receipt else None,
-                retries=receipt.retries if receipt else 0,
-                degraded=bool(receipt and receipt.degraded),
-                escalated=bool(receipt and receipt.escalated),
-                failed_wall_seconds=(
-                    receipt.failed_wall_seconds if receipt else None
-                ),
-                fallback_wall_seconds=(
-                    receipt.fallback_wall_seconds if receipt else None
-                ),
-                replicas_acked=(
-                    receipt.replicas_acked if receipt else None
-                ),
-                replica_quorum=(
-                    receipt.replica_quorum if receipt else None
-                ),
-                degraded_replicas=(
-                    receipt.degraded_replicas if receipt else None
-                ),
+                durability=receipt.durability,
+                retries=receipt.retries,
+                degraded=receipt.degraded,
+                escalated=receipt.escalated,
+                failed_wall_seconds=receipt.failed_wall_seconds,
+                fallback_wall_seconds=receipt.fallback_wall_seconds,
+                replicas_acked=receipt.replicas_acked,
+                replica_quorum=receipt.replica_quorum,
+                degraded_replicas=receipt.degraded_replicas,
             )
         metrics = self.metrics
         if metrics.enabled:
@@ -830,15 +789,14 @@ class CheckpointSession:
             metrics.histogram(
                 "commit_bytes", buckets=DEFAULT_SIZE_BUCKETS, phase=phase
             ).observe(result.size)
-            if receipt is not None:
-                if receipt.retries:
-                    metrics.counter("retries_total").inc(receipt.retries)
-                if receipt.degraded:
-                    metrics.counter("degradations_total").inc()
-                if receipt.escalated:
-                    metrics.counter("escalations_total").inc()
-                if receipt.degraded_replicas:
-                    metrics.counter("degraded_replica_commits_total").inc()
+            if receipt.retries:
+                metrics.counter("retries_total").inc(receipt.retries)
+            if receipt.degraded:
+                metrics.counter("degradations_total").inc()
+            if receipt.escalated:
+                metrics.counter("escalations_total").inc()
+            if receipt.degraded_replicas:
+                metrics.counter("degraded_replica_commits_total").inc()
             metrics.gauge("deltas_since_full").set(self.deltas_since_full)
 
     def _resolve_roots(

@@ -15,6 +15,9 @@ matter what is underneath:
   including a :class:`~repro.core.storage.BackgroundWriter` front (whose
   queue is flushed before recovery or compaction).
 
+A ``put`` may carry the session's receipt; the sink hands it to the
+store stack, whose layers write what they know onto it.
+
 :func:`sink_for` coerces what a caller naturally has — ``None``, a store,
 a directory path, or a sink — into a sink.
 """
@@ -29,13 +32,15 @@ from repro.core.errors import StorageError
 from repro.core.lineage import AUTO, EpochRef, Lineage
 from repro.core.registry import ClassRegistry
 from repro.core.restore import ObjectTable
-from repro.core.retry import RetryPolicy, RetryStats
+from repro.core.retry import RetryPolicy
 from repro.core.storage import (
+    AppendReceipt,
     BackgroundWriter,
     CheckpointStore,
     Epoch,
     FileStore,
     MemoryStore,
+    RetryingStore,
     compact as storage_compact,
 )
 from repro.obs.metrics import NULL_METRICS, DEFAULT_LATENCY_BUCKETS
@@ -45,8 +50,6 @@ from repro.obs.tracer import NULL_TRACER
 class Sink:
     """One ``commit()`` target; epochs enter in order through :meth:`put`."""
 
-    #: whether :meth:`recover` is meaningful for this sink
-    can_recover: bool = False
     #: whether :meth:`compact` is meaningful for this sink
     can_compact: bool = False
     #: observability hooks; the no-op singletons until :meth:`instrument`
@@ -73,13 +76,14 @@ class Sink:
         parent=AUTO,
         branch: Optional[str] = None,
         name: Optional[str] = None,
+        receipt: Optional[AppendReceipt] = None,
     ) -> Optional[int]:
         """Accept one epoch; returns its index when the sink assigns one.
 
         The lineage keywords (see
         :meth:`repro.core.storage.CheckpointStore.append`) place the
         epoch in the store's lineage graph; sinks without a store
-        ignore them.
+        ignore them. ``receipt`` gets the epoch's durability state.
         """
         raise NotImplementedError
 
@@ -92,15 +96,6 @@ class Sink:
     ) -> ObjectTable:
         """The object table exactly as it was live at epoch ``target``."""
         raise StorageError(f"{type(self).__name__} cannot restore state")
-
-    def durability(self) -> str:
-        """What :meth:`put` returning means for the epoch's durability.
-
-        One of ``"durable"`` (synchronously persisted), ``"queued"``
-        (handed to an asynchronous writer), ``"buffered"`` (held in
-        process memory), or ``"discarded"``.
-        """
-        return "buffered"
 
     def flush(self) -> None:
         """Block until everything put so far is durable (no-op by default)."""
@@ -136,12 +131,12 @@ class NullSink(Sink):
         parent=AUTO,
         branch: Optional[str] = None,
         name: Optional[str] = None,
+        receipt: Optional[AppendReceipt] = None,
     ) -> Optional[int]:
         self.discarded += 1
+        if receipt is not None:
+            receipt.durability = "discarded"
         return None
-
-    def durability(self) -> str:
-        return "discarded"
 
 
 class StoreSink(Sink):
@@ -149,30 +144,19 @@ class StoreSink(Sink):
 
     A :class:`~repro.core.storage.BackgroundWriter` works transparently:
     ``flush``/``close`` delegate to it, and recovery/compaction flush the
-    queue first, then operate on the durable backing store.
-
-    With a :class:`~repro.core.retry.RetryPolicy`, transient append
-    failures (``OSError`` and friends) are retried on the committing
-    thread before the error surfaces; every retry is counted in
-    :attr:`retry_stats` so commit receipts can report it.
+    queue first, then operate on the durable backing store. To retry
+    transient append failures on the committing thread, give the sink a
+    :class:`~repro.core.storage.RetryingStore`.
     """
 
-    can_recover = True
     can_compact = True
 
-    def __init__(
-        self, store: CheckpointStore, retry: Optional[RetryPolicy] = None
-    ) -> None:
+    def __init__(self, store: CheckpointStore) -> None:
         self.store = store
-        self.retry = retry
-        #: retry accounting for this sink's puts
-        self.retry_stats = RetryStats()
 
     def instrument(self, tracer, metrics) -> None:
         super().instrument(tracer, metrics)
-        propagate = getattr(self.store, "instrument", None)
-        if propagate is not None:
-            propagate(self.tracer, self.metrics)
+        self.store.instrument(self.tracer, self.metrics)
 
     def put(
         self,
@@ -182,11 +166,16 @@ class StoreSink(Sink):
         parent=AUTO,
         branch: Optional[str] = None,
         name: Optional[str] = None,
+        receipt: Optional[AppendReceipt] = None,
     ) -> Optional[int]:
-        if not (self.tracer.enabled or self.metrics.enabled):
-            return self._put(kind, data, parent, branch, name)
-        start = time.perf_counter()
-        index = self._put(kind, data, parent, branch, name)
+        instrumented = self.tracer.enabled or self.metrics.enabled
+        start = time.perf_counter() if instrumented else 0.0
+        index = self.store.append(
+            kind, data, parent=parent, branch=branch, name=name,
+            receipt=receipt,
+        )
+        if not instrumented:
+            return index
         elapsed = time.perf_counter() - start
         self.tracer.event(
             "sink.put", kind=kind, bytes=len(data), index=index,
@@ -197,42 +186,11 @@ class StoreSink(Sink):
         ).observe(elapsed)
         return index
 
-    def _put(self, kind, data, parent, branch, name) -> Optional[int]:
-        if self.retry is None:
-            return self.store.append(
-                kind, data, parent=parent, branch=branch, name=name
-            )
-        return self.retry.run(
-            lambda: self.store.append(
-                kind, data, parent=parent, branch=branch, name=name
-            ),
-            on_retry=lambda attempt, exc, _d: self.retry_stats.note(
-                "put", attempt, exc
-            ),
-        )
-
-    def durability(self) -> str:
-        store = self.store
-        if isinstance(store, BackgroundWriter):
-            if not store.degraded:
-                return "queued"
-            store = store.backing
-        # A replicated store distinguishes "every replica acked"
-        # ("durable") from "only a write quorum did" ("quorum").
-        reported = getattr(store, "durability", None)
-        if callable(reported):
-            return reported()
-        return "durable"
-
     def flush(self) -> None:
-        flush = getattr(self.store, "flush", None)
-        if flush is not None:
-            flush()
+        self.store.flush()
 
     def close(self) -> None:
-        close = getattr(self.store, "close", None)
-        if close is not None:
-            close()
+        self.store.close()
 
     def _durable_store(self) -> CheckpointStore:
         """The synchronous store, with any async front flushed."""
@@ -300,18 +258,25 @@ def sink_for(target, retry: Optional[RetryPolicy] = None) -> Sink:
     - a directory path → :class:`StoreSink` over a new
       :class:`~repro.core.storage.FileStore` there.
 
-    ``retry`` attaches a :class:`~repro.core.retry.RetryPolicy` to the
-    :class:`StoreSink` this function builds (an existing sink passed in
-    keeps whatever policy it already has).
+    ``retry`` wraps the store this function coerces in a
+    :class:`~repro.core.storage.RetryingStore` (an existing sink passed
+    in keeps whatever store stack it already has). A
+    :class:`~repro.core.storage.BackgroundWriter` is not wrapped: a
+    queued append cannot fail transiently, and its retries belong under
+    it, on the writer thread.
     """
     if target is None:
         return NullSink()
     if isinstance(target, Sink):
         return target
-    if isinstance(target, CheckpointStore):
-        return StoreSink(target, retry=retry)
     if isinstance(target, (str, os.PathLike)):
-        return StoreSink(FileStore(os.fspath(target)), retry=retry)
+        target = FileStore(os.fspath(target))
+    if isinstance(target, CheckpointStore):
+        # a retry layer in front of a writer would also hide it from
+        # _durable_store, so compaction would not drain the queue first
+        if retry is not None and not isinstance(target, BackgroundWriter):
+            target = RetryingStore(target, retry)
+        return StoreSink(target)
     raise StorageError(
         f"cannot use {target!r} as a checkpoint sink (expected None, a "
         "Sink, a CheckpointStore, or a directory path)"

@@ -14,6 +14,7 @@ from repro.core.storage import (
     BackgroundWriter,
     FileStore,
     MemoryStore,
+    RetryingStore,
 )
 from tests.conftest import build_root
 
@@ -218,12 +219,12 @@ class _TransientStore(MemoryStore):
         self._failures = failures
         self._seen: dict = {}
 
-    def append(self, kind, data):
+    def append(self, kind, data, **lineage):
         count = self._seen.get(data, 0)
         if count < self._failures:
             self._seen[data] = count + 1
             raise OSError(f"transient glitch {count + 1}")
-        return super().append(kind, data)
+        return super().append(kind, data, **lineage)
 
 
 class TestBackgroundWriterRetry:
@@ -232,7 +233,7 @@ class TestBackgroundWriterRetry:
 
         backing = _TransientStore(failures=2)
         writer = BackgroundWriter(
-            backing, retry=RetryPolicy(max_attempts=4, base_delay=0.0)
+            RetryingStore(backing, RetryPolicy(max_attempts=4, base_delay=0.0))
         )
         payloads = [b"epoch-%d" % i for i in range(5)]
         for payload in payloads:
@@ -241,14 +242,15 @@ class TestBackgroundWriterRetry:
         writer.close()
         assert [e.data for e in backing.epochs()] == payloads
         assert writer.dropped == 0
-        assert writer.retry_stats.retries == 10  # 2 per epoch
+        # 2 failed attempts per epoch, each retried on the writer thread
+        assert sum(backing._seen.values()) == 10
 
     def test_exhausted_retry_is_still_fail_stop(self):
         from repro.core.retry import RetryPolicy
 
         backing = _TransientStore(failures=99)
         writer = BackgroundWriter(
-            backing, retry=RetryPolicy(max_attempts=2, base_delay=0.0)
+            RetryingStore(backing, RetryPolicy(max_attempts=2, base_delay=0.0))
         )
         writer.append(INCREMENTAL, b"doomed")
         writer.append(INCREMENTAL, b"behind")

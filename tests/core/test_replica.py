@@ -20,6 +20,7 @@ from repro.core.replica import (
 from repro.core.storage import (
     FULL,
     INCREMENTAL,
+    AppendReceipt,
     BackgroundWriter,
     FileStore,
     MemoryStore,
@@ -119,17 +120,22 @@ class TestQuorumWrites:
 
     def test_commit_survives_one_dead_replica(self):
         store = ReplicatedStore([MemoryStore(), MemoryStore(), _DeadStore()])
-        assert store.append(FULL, b"base") == 0
-        last = store.last_commit
-        assert last["acked"] == ["r0", "r1"]
-        assert "r2" in last["degraded"]
-        assert store.durability() == "quorum"
+        receipt = AppendReceipt()
+        assert store.append(FULL, b"base", receipt=receipt) == 0
+        assert receipt.replicas_acked == ["r0", "r1"]
+        assert "r2" in receipt.degraded_replicas
+        assert receipt.replica_quorum == 2
+        assert receipt.durability == "quorum"
 
     def test_quorum_loss_raises(self):
         store = ReplicatedStore([MemoryStore(), _DeadStore(), _DeadStore()])
+        receipt = AppendReceipt()
         with pytest.raises(StorageError, match="write quorum lost"):
-            store.append(FULL, b"base")
-        assert store.last_commit["index"] is None
+            store.append(FULL, b"base", receipt=receipt)
+        # who acked is on record; the failed epoch is not called durable
+        assert receipt.replicas_acked == ["r0"]
+        assert receipt.degraded_replicas == ["r1", "r2"]
+        assert receipt.durability not in ("durable", "quorum")
 
     def test_all_ack_quorum_fails_on_single_death(self):
         store = ReplicatedStore(
@@ -140,8 +146,9 @@ class TestQuorumWrites:
 
     def test_durability_is_durable_when_all_ack(self):
         store = three_way()
-        store.append(FULL, b"base")
-        assert store.durability() == "durable"
+        receipt = AppendReceipt()
+        store.append(FULL, b"base", receipt=receipt)
+        assert receipt.durability == "durable"
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(StorageError, match="unknown checkpoint kind"):
@@ -468,3 +475,20 @@ class TestLifecycle:
         # the degraded replica is visible through undurable_counts even
         # though the quorum made the commit itself succeed
         assert store.undurable_counts()["r2"] == 1
+
+    def test_flush_runs_each_child_once_and_propagates_errors(self):
+        class _BrokenFlush(MemoryStore):
+            def __init__(self):
+                super().__init__()
+                self.flushes = []
+
+            def flush(self, timeout=None):
+                self.flushes.append(timeout)
+                raise TypeError("bug inside the child's flush")
+
+        broken = _BrokenFlush()
+        store = ReplicatedStore([MemoryStore(), broken, MemoryStore()])
+        store.append(FULL, b"base")
+        with pytest.raises(TypeError, match="inside the child"):
+            store.flush(timeout=2.0)
+        assert broken.flushes == [2.0]

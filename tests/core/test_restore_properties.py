@@ -186,7 +186,7 @@ def _epoch_by_epoch(base, deltas):
             obj = table[object_id]
             obj.restore_local(inp, table)
             obj._ckpt_info.modified = False
-        DEFAULT_ALLOCATOR.advance_past(table.max_id())
+        DEFAULT_ALLOCATOR.advance_past(max(table.ids(), default=-1))
         offset += len(data)
     return table
 

@@ -8,7 +8,16 @@ import pytest
 from repro.core.checkpoint import Checkpoint, FullCheckpoint
 from repro.core.errors import StorageError
 from repro.core.restore import structurally_equal
-from repro.core.storage import FULL, INCREMENTAL, FileStore, MemoryStore
+from repro.core.retry import RetryPolicy
+from repro.core.storage import (
+    FULL,
+    INCREMENTAL,
+    AppendReceipt,
+    Epoch,
+    FileStore,
+    MemoryStore,
+    RetryingStore,
+)
 from tests.conftest import build_root
 
 
@@ -63,6 +72,96 @@ class TestMemoryStore:
         store.append(FULL, base.getvalue())
         line = store.recovery_line()
         assert [e.index for e in line] == [3]
+
+
+class _RecordingStore(MemoryStore):
+    """Records every lifecycle call the protocol routes to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def flush(self, timeout=None):
+        self.calls.append(("flush", timeout))
+
+    def close(self, timeout=None):
+        self.calls.append(("close", timeout))
+
+    def instrument(self, tracer, metrics):
+        self.calls.append(("instrument", tracer, metrics))
+
+    def prune(self):
+        self.calls.append(("prune",))
+
+    def undurable_counts(self):
+        return {"r0": 1}
+
+
+class _FlakyStore(MemoryStore):
+    def __init__(self, failures):
+        super().__init__()
+        self.failures = failures
+
+    def append(self, kind, data, **lineage):
+        if self.failures:
+            self.failures -= 1
+            raise OSError("flaky append")
+        return super().append(kind, data, **lineage)
+
+
+class TestStoreProtocol:
+    def test_lifecycle_hooks_default_to_no_ops(self, tmp_path):
+        for store in (MemoryStore(), FileStore(str(tmp_path / "ckpt"))):
+            store.flush(timeout=1.0)
+            store.close(timeout=1.0)
+            store.instrument(None, None)
+            store.prune()
+            assert store.undurable_counts() == {}
+
+    def test_decorator_passes_every_method_but_append_through(self):
+        backing = _RecordingStore()
+        store = RetryingStore(backing, RetryPolicy.none())
+        assert store.append(FULL, b"base") == 0
+        store.flush(1.5)
+        store.close(2.5)
+        store.instrument("tracer", "metrics")
+        store.prune()
+        assert backing.calls == [
+            ("flush", 1.5),
+            ("close", 2.5),
+            ("instrument", "tracer", "metrics"),
+            ("prune",),
+        ]
+        assert store.undurable_counts() == {"r0": 1}
+        assert store.epoch_map() == backing.epoch_map()
+        assert store.quarantine_epoch(0, "test") is not None
+        store.put_epoch(Epoch(0, FULL, b"repaired"), overwrite=True)
+        assert [e.data for e in backing.epochs()] == [b"repaired"]
+        assert store.epochs() == backing.epochs()
+
+    def test_stores_write_durable_on_the_receipt(self, tmp_path):
+        for store in (MemoryStore(), FileStore(str(tmp_path / "ckpt"))):
+            receipt = AppendReceipt()
+            store.append(FULL, b"base", receipt=receipt)
+            assert receipt.durability == "durable"
+            assert receipt.retries == 0
+
+    def test_retrying_store_notes_each_retry_on_the_receipt(self):
+        backing = _FlakyStore(failures=2)
+        store = RetryingStore(
+            backing, RetryPolicy(max_attempts=3, base_delay=0.0)
+        )
+        receipt = AppendReceipt()
+        assert store.append(FULL, b"base", receipt=receipt) == 0
+        assert receipt.retries == 2
+        assert receipt.events == [
+            "append retry 1: flaky append",
+            "append retry 2: flaky append",
+        ]
+        assert receipt.durability == "durable"
+        # without a receipt the retries still happen, unrecorded
+        backing.failures = 1
+        assert store.append(INCREMENTAL, b"delta") == 1
 
 
 class TestFileStore:

@@ -6,7 +6,14 @@ import pytest
 
 from repro.core.errors import CheckpointError
 from repro.core.retry import RetryPolicy
-from repro.core.storage import FULL, INCREMENTAL, FileStore, MemoryStore
+from repro.core.storage import (
+    FULL,
+    INCREMENTAL,
+    AppendReceipt,
+    FileStore,
+    MemoryStore,
+    RetryingStore,
+)
 from repro.runtime.sink import StoreSink
 from repro.faults import (
     BITFLIP,
@@ -138,6 +145,36 @@ class TestPassthrough:
         assert store.injected == []
         assert store.epochs() == backing.epochs()
 
+    def test_compaction_prunes_like_the_bare_store(self, tmp_path):
+        # prune() passes through the fault layer, so compaction deletes
+        # the superseded epochs it would delete on the bare FileStore
+        from repro.runtime.policy import EpochPolicy
+        from repro.runtime.session import CheckpointSession
+        from tests.conftest import build_root
+
+        def epoch_files(store, directory):
+            root = build_root()
+            session = CheckpointSession(
+                roots=root,
+                sink=StoreSink(store),
+                policy=EpochPolicy.bounded_chain(3),
+            )
+            session.base()
+            for step in range(7):
+                root.mid.leaf.value = step
+                session.commit()
+            return sorted(
+                name for name in os.listdir(directory) if name.endswith(".ckpt")
+            )
+
+        bare_dir, faulty_dir = str(tmp_path / "bare"), str(tmp_path / "faulty")
+        bare = epoch_files(FileStore(bare_dir), bare_dir)
+        faulty = epoch_files(
+            FaultyStore(FileStore(faulty_dir), FaultPlan([])), faulty_dir
+        )
+        assert faulty == bare
+        assert len(bare) < 8
+
 
 class TestFaultySink:
     """A session sink over a faulty store: the crash matrix's store path."""
@@ -146,11 +183,14 @@ class TestFaultySink:
         backing = FileStore(str(tmp_path / "store"))
         plan = FaultPlan.single(FaultSpec(0, TRANSIENT, attempts=1))
         sink = StoreSink(
-            FaultyStore(backing, plan),
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+            RetryingStore(
+                FaultyStore(backing, plan),
+                RetryPolicy(max_attempts=3, base_delay=0.0),
+            )
         )
-        assert isinstance(sink.store, FaultyStore)
-        sink.put(FULL, PAYLOAD)
+        assert isinstance(sink.store.backing, FaultyStore)
+        receipt = AppendReceipt()
+        sink.put(FULL, PAYLOAD, receipt=receipt)
         # The retry policy absorbed the single transient fault.
-        assert sink.retry_stats.retries == 1
+        assert receipt.retries == 1
         assert [epoch.data for epoch in backing.epochs()] == [PAYLOAD]

@@ -9,10 +9,11 @@ from repro.core.storage import (
     BackgroundWriter,
     FileStore,
     MemoryStore,
+    RetryingStore,
 )
 from repro.runtime.policy import EpochPolicy
 from repro.runtime.session import CheckpointSession
-from repro.runtime.sink import NullSink
+from repro.runtime.sink import BufferSink, NullSink
 from repro.runtime.strategy import Strategy
 from tests.conftest import build_root
 
@@ -67,10 +68,27 @@ class TestDurabilityStates:
         session = CheckpointSession(roots=build_root(), sink=NullSink())
         assert session.base().receipt.durability == "discarded"
 
-    def test_plain_sink_default_is_buffered(self):
-        from repro.runtime.sink import Sink
+    def test_buffer_sink_commits_are_durable(self):
+        session = CheckpointSession(roots=build_root(), sink=BufferSink())
+        assert session.base().receipt.durability == "durable"
 
-        assert Sink().durability() == "buffered"
+    def test_background_writer_commits_report_no_index(self, tmp_path):
+        # A queued epoch has no index yet: the writer thread's append to
+        # the backing store assigns it.
+        store = FileStore(str(tmp_path / "ckpts"))
+        root = build_root()
+        session = CheckpointSession(roots=root, sink=BackgroundWriter(store))
+        try:
+            results = [session.base()]
+            for step in range(5):
+                root.mid.leaf.value = step
+                results.append(session.commit())
+            session.flush()
+        finally:
+            session.close()
+        assert [r.epoch_index for r in results] == [None] * 6
+        assert [e.index for e in store.epochs()] == list(range(6))
+        assert all(r.receipt.durability == "queued" for r in results)
 
     def test_none_sink_commits_are_discarded(self):
         session = CheckpointSession(roots=build_root(), sink=None)
@@ -259,5 +277,25 @@ class TestReplicaReceipts:
             session.flush()
         finally:
             session.close()
-        # behind a queue the receipt reflects the newest drained epoch
-        assert store.last_commit["acked"] == ["r0", "r1", "r2"]
+        # a queued epoch has not reached the replicas when the commit
+        # returns, so its receipt names no acks
+        assert result.receipt.durability == "queued"
+        assert result.receipt.replicas_acked is None
+        assert result.receipt.degraded_replicas is None
+        assert len(store.epochs()) == 2
+
+    def test_receipt_counts_per_replica_retries(self):
+        policy = RetryPolicy(max_attempts=4, base_delay=0.0)
+        store = self.make_replicated(
+            [
+                RetryingStore(_FlakyStore(failures=2), policy),
+                MemoryStore(),
+                MemoryStore(),
+            ]
+        )
+        session = CheckpointSession(roots=build_root(), sink=store)
+        receipt = session.base().receipt
+        assert receipt.retries == 2
+        assert sum("retry" in event for event in receipt.events) == 2
+        assert receipt.replicas_acked == ["r0", "r1", "r2"]
+        assert receipt.durability == "durable"

