@@ -46,6 +46,7 @@ from repro.core.errors import (
     CheckpointError,
     CycleError,
     EffectAnalysisError,
+    ManifestVersionError,
     PatternViolationError,
     ResidualVerificationError,
     RestoreError,
@@ -101,6 +102,7 @@ __all__ = [
     "CheckpointError",
     "CycleError",
     "EffectAnalysisError",
+    "ManifestVersionError",
     "PatternViolationError",
     "ResidualVerificationError",
     "RestoreError",

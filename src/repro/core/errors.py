@@ -40,6 +40,18 @@ class StorageError(CheckpointError):
     """A durable checkpoint store is missing, corrupt, or inconsistent."""
 
 
+class ManifestVersionError(StorageError):
+    """A store manifest declares no ``format_version`` or an unknown one.
+
+    The epoch lineage such a manifest records is refused, never guessed
+    at. ``version`` is the declared value (``None`` when absent).
+    """
+
+    def __init__(self, message: str, version=None) -> None:
+        super().__init__(message)
+        self.version = version
+
+
 class SpecializationError(CheckpointError):
     """The specializer was given inconsistent or unusable declarations."""
 

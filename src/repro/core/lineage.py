@@ -71,6 +71,8 @@ class Lineage:
         self._by_index = {}
         for epoch in epochs:
             self._by_index[epoch.index] = epoch
+        #: memoized :meth:`intact_chain` verdicts (the view is read-only)
+        self._intact: Dict[int, bool] = {}
 
     # -- basic lookups -------------------------------------------------------
 
@@ -223,20 +225,30 @@ class Lineage:
 
         A parentless delta counts as intact here (the epoch itself is
         sound — it merely has no recovery base), matching what ``fsck``
-        keeps on disk.
+        keeps on disk; a lineage cycle materializes nothing. Every epoch
+        on a walked path gets the same verdict, memoized, so asking for
+        every epoch of an n-epoch graph walks each parent link once.
         """
-        current = index
+        trail: List[int] = []
         seen: Set[int] = set()
+        current = index
         while True:
-            if current in seen:
-                return False
+            if current in self._intact:
+                verdict = self._intact[current]
+                break
+            if current in seen or current not in self._by_index:
+                verdict = False
+                break
             seen.add(current)
+            trail.append(current)
             epoch = self._by_index[current]
             if epoch.kind == "full" or epoch.parent is None:
-                return True
-            if epoch.parent not in self._by_index:
-                return False
+                verdict = True
+                break
             current = epoch.parent
+        for i in trail:
+            self._intact[i] = verdict
+        return verdict
 
 
 def resolve_parent(

@@ -608,10 +608,6 @@ class ReplicatedStore(CheckpointStore):
     def quorum(self) -> int:
         return self._quorum
 
-    @property
-    def replica_count(self) -> int:
-        return len(self._states)
-
     def replica_status(self) -> List[dict]:
         with self._lock:
             return [rep.status() for rep in self._states]

@@ -10,6 +10,14 @@ number, a length and a CRC-32, and recovery silently discards a torn tail
 (a partially written final epoch), which is exactly the state a crash
 mid-checkpoint leaves behind.
 
+This module owns the :class:`FileStore` directory format, and ``fsck``
+reads it through the same functions: :func:`read_frame` decodes an epoch
+file, :func:`read_manifest` parses ``manifest.json`` and judges its
+``format_version`` (:func:`manifest_lineage` reads its lineage map),
+:func:`epoch_file_index` parses an epoch file name,
+:func:`quarantine_file` moves a file aside, and :func:`epoch_lineage`
+supplies the implied linear lineage of a manifest-v1 store.
+
 Every store layer implements the :class:`CheckpointStore` protocol.
 :class:`StoreDecorator` layers add behaviour over another store and pass
 the rest of the protocol through: :class:`RetryingStore` retries
@@ -34,7 +42,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.core.errors import StorageError
+from repro.core.errors import ManifestVersionError, StorageError
 from repro.core.lineage import (
     AUTO,
     MAIN_BRANCH,
@@ -51,6 +59,12 @@ from repro.obs.tracer import NULL_TRACER
 FULL = "full"
 INCREMENTAL = "incremental"
 
+#: what :func:`read_frame` finds in an epoch file: a usable frame, a frame
+#: cut short (a crash mid-write), or one that fails its checks (bit rot)
+INTACT = "intact"
+TORN = "torn"
+CORRUPT = "corrupt"
+
 _MAGIC = b"RCKP"
 #: epoch frame format: 1 = CRC over the payload only, 2 = CRC also over
 #: the kind byte and the length field (see :func:`frame_crc`)
@@ -59,7 +73,8 @@ _SUPPORTED_FRAMES = (1, _VERSION)
 #: manifest format: 1 = classes only (implied-linear lineage),
 #: 2 = classes + explicit epoch lineage map
 MANIFEST_VERSION = 2
-_SUPPORTED_MANIFESTS = (1, MANIFEST_VERSION)
+SUPPORTED_MANIFESTS = (1, MANIFEST_VERSION)
+MANIFEST_NAME = "manifest.json"
 _KIND_CODES = {FULL: 0, INCREMENTAL: 1}
 _KIND_NAMES = {0: FULL, 1: INCREMENTAL}
 # Compressed variants share the kind space; readers handle both
@@ -89,6 +104,144 @@ def _frame_header(kind_code: int, payload: bytes) -> bytes:
     return _HEADER.pack(_MAGIC, _VERSION, kind_code, len(payload), crc)
 
 
+def read_frame(path: str) -> tuple:
+    """Decode one epoch file: ``(status, kind, payload, detail)``.
+
+    ``status`` is :data:`INTACT`, :data:`TORN` (unreadable, or cut short
+    in the header or payload) or :data:`CORRUPT` (bad magic, version or
+    kind code, a CRC mismatch, or an invalid deflate stream). ``kind`` is
+    known once the header is; ``payload`` is the plain (decompressed)
+    bytes of an intact frame, else ``None``. ``detail`` says why, for
+    ``fsck``; bytes past the frame leave it intact and are counted there.
+    """
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        return TORN, None, None, f"unreadable: {exc}"
+    if len(raw) < _HEADER.size:
+        detail = f"only {len(raw)} of {_HEADER.size} header bytes"
+        return TORN, None, None, detail
+    magic, version, kind_code, length, crc = _HEADER.unpack_from(raw)
+    if magic != _MAGIC:
+        return CORRUPT, None, None, f"bad magic {magic!r}"
+    if version not in _SUPPORTED_FRAMES:
+        return CORRUPT, None, None, f"unknown format version {version}"
+    kind = _KIND_NAMES.get(kind_code) or _COMPRESSED_NAMES.get(kind_code)
+    if kind is None:
+        return CORRUPT, None, None, f"unknown kind code {kind_code}"
+    end = _HEADER.size + length
+    payload = raw[_HEADER.size : end]
+    if len(payload) < length:
+        return TORN, kind, None, f"payload {len(payload)} of {length} bytes"
+    if frame_crc(version, kind_code, payload) != crc:
+        return CORRUPT, kind, None, "CRC mismatch"
+    if kind_code in _COMPRESSED_NAMES:
+        try:
+            payload = zlib.decompress(payload)
+        except zlib.error:
+            return CORRUPT, kind, None, "CRC intact but deflate stream invalid"
+    trailing = len(raw) - end
+    detail = f"{trailing} trailing bytes" if trailing else ""
+    return INTACT, kind, payload, detail
+
+
+def read_manifest(directory: str) -> dict:
+    """Parse ``directory``'s manifest and judge its ``format_version``.
+
+    Returns the manifest object. Raises ``OSError`` when the manifest is
+    missing or unreadable, ``ValueError`` when it is not a JSON object,
+    and :class:`~repro.core.errors.ManifestVersionError` when it declares
+    no ``format_version`` or one this build does not read. What a
+    missing or unparsable manifest means is each caller's decision.
+    """
+    path = os.path.join(directory, MANIFEST_NAME)
+    with open(path, "r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path!r} holds no JSON object")
+    version = manifest.get("format_version")
+    if version not in SUPPORTED_MANIFESTS:
+        raise ManifestVersionError(
+            f"unsupported manifest format_version {version!r} in "
+            f"{directory!r} (this build supports "
+            f"{list(SUPPORTED_MANIFESTS)}); refusing to guess at "
+            "the epoch lineage",
+            version,
+        )
+    return manifest
+
+
+def manifest_lineage(manifest: dict) -> Dict[int, dict]:
+    """A manifest's lineage map, keyed by epoch index.
+
+    Entries are normalized to ``{parent, branch, kind, name}``; those
+    under a non-integer key, or that are not objects, are dropped.
+    """
+    raw = manifest.get("lineage")
+    lineage = {}
+    for key, entry in raw.items() if isinstance(raw, dict) else ():
+        try:
+            index = int(key)
+        except ValueError:
+            continue
+        if isinstance(entry, dict):
+            lineage[index] = {
+                "parent": entry.get("parent"),
+                "branch": entry.get("branch") or MAIN_BRANCH,
+                "kind": entry.get("kind"),
+                "name": entry.get("name"),
+            }
+    return lineage
+
+
+def epoch_file_index(name: str) -> Optional[int]:
+    """The index an ``epoch-NNNNNN.ckpt`` file name carries.
+
+    ``None`` for a name of any other shape; ``ValueError`` for an
+    epoch-like name whose index does not parse.
+    """
+    if name.startswith("epoch-") and name.endswith(".ckpt"):
+        return int(name[len("epoch-") : -len(".ckpt")])
+    return None
+
+
+def quarantine_file(path: str, quarantine_dir: str) -> str:
+    """Move ``path`` into ``quarantine_dir`` (never delete); returns where.
+
+    A name already taken there gets the first free ``.N`` suffix, so
+    earlier evidence is never overwritten. Raises ``OSError``.
+    """
+    os.makedirs(quarantine_dir, exist_ok=True)
+    target = os.path.join(quarantine_dir, os.path.basename(path))
+    if os.path.exists(target):
+        suffix = 0
+        while os.path.exists(f"{target}.{suffix}"):
+            suffix += 1
+        target = f"{target}.{suffix}"
+    os.replace(path, target)
+    return target
+
+
+def _lineage_entry(parent, branch, kind, name) -> dict:
+    """One epoch's entry in the manifest's lineage map."""
+    return {"parent": parent, "branch": branch, "kind": kind, "name": name}
+
+
+def epoch_lineage(lineage: Dict[int, dict], index: int) -> dict:
+    """Epoch ``index``'s entry in ``lineage``, or its implied one.
+
+    An epoch the lineage map does not name — every epoch of a store a
+    manifest-v1 writer left — is strictly linear: parent ``index - 1``,
+    branch ``main``.
+    """
+    entry = lineage.get(index)
+    if entry is not None:
+        return entry
+    parent = index - 1 if index > 0 else None
+    return _lineage_entry(parent, MAIN_BRANCH, None, None)
+
+
 class Epoch(NamedTuple):
     """One stored checkpoint, with its place in the lineage graph.
 
@@ -104,16 +257,6 @@ class Epoch(NamedTuple):
     parent: Optional[int] = None
     branch: str = MAIN_BRANCH
     name: Optional[str] = None
-
-
-def _implied_lineage(index: int) -> dict:
-    """Lineage of an epoch a manifest-v1 store wrote: strictly linear."""
-    return {
-        "parent": index - 1 if index > 0 else None,
-        "branch": MAIN_BRANCH,
-        "kind": None,
-        "name": None,
-    }
 
 
 @dataclass
@@ -456,44 +599,13 @@ class FileStore(CheckpointStore):
         linear lineage when read.
         """
         try:
-            with open(self.manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            manifest = read_manifest(self.directory)
+        except (OSError, ValueError):
             return  # fresh store, or damage _serial_translation reports
-        version = manifest.get("format_version")
-        if version not in _SUPPORTED_MANIFESTS:
-            raise StorageError(
-                f"unsupported manifest format_version {version!r} in "
-                f"{self.directory!r} (this build supports "
-                f"{list(_SUPPORTED_MANIFESTS)}); refusing to guess at "
-                "the epoch lineage"
-            )
-        raw = manifest.get("lineage")
-        if not isinstance(raw, dict):
-            raw = {}
-        present = {index for index, _ in self._epoch_files()}
-        for key, entry in raw.items():
-            try:
-                index = int(key)
-            except (TypeError, ValueError):
-                continue
-            if index not in present or not isinstance(entry, dict):
-                continue
-            self._lineage[index] = {
-                "parent": entry.get("parent"),
-                "branch": entry.get("branch") or MAIN_BRANCH,
-                "kind": entry.get("kind"),
-                "name": entry.get("name"),
-            }
-        for index in sorted(present):
-            meta = self._lineage.get(index) or _implied_lineage(index)
-            branch = meta["branch"]
-            tip = self._branch_tips.get(branch)
-            if tip is None or index > tip:
-                self._branch_tips[branch] = index
-            if meta.get("name") is not None:
-                self._names[meta["name"]] = index
-            self._last_branch = branch
+        present = [index for index, _ in self._epoch_files()]
+        lineage = manifest_lineage(manifest)
+        self._lineage = {i: lineage[i] for i in present if i in lineage}
+        self._rebuild_maps(present)
 
     # -- paths --------------------------------------------------------------
 
@@ -502,7 +614,7 @@ class FileStore(CheckpointStore):
 
     @property
     def manifest_path(self) -> str:
-        return os.path.join(self.directory, "manifest.json")
+        return os.path.join(self.directory, MANIFEST_NAME)
 
     @property
     def quarantine_dir(self) -> str:
@@ -525,15 +637,8 @@ class FileStore(CheckpointStore):
             if not name.endswith(".tmp"):
                 continue
             source = os.path.join(self.directory, name)
-            target = os.path.join(self.quarantine_dir, name)
             try:
-                os.makedirs(self.quarantine_dir, exist_ok=True)
-                if os.path.exists(target):
-                    stem = 0
-                    while os.path.exists(f"{target}.{stem}"):
-                        stem += 1
-                    target = f"{target}.{stem}"
-                os.replace(source, target)
+                target = quarantine_file(source, self.quarantine_dir)
             except OSError:
                 continue  # a locked/vanished orphan is not worth failing for
             self.quarantined.append(target)
@@ -573,54 +678,22 @@ class FileStore(CheckpointStore):
                     f"checkpoint name {name!r} already pins epoch "
                     f"{self._names[name]}"
                 )
-            entry = {
-                "parent": parent,
-                "branch": branch,
-                "kind": kind,
-                "name": name,
-            }
             # Lineage first, epoch second: every durable epoch then has
             # a durable lineage entry. The reverse order could leave an
             # epoch whose place in the graph nobody knows; this order
             # merely leaves a stale entry a reopen prunes.
-            self._lineage[index] = entry
+            self._lineage[index] = _lineage_entry(parent, branch, kind, name)
             self._write_manifest()
-            plain = bytes(data)
-            if self.compress:
-                payload = zlib.compress(plain, level=6)
-                code = _COMPRESSED_CODES[kind]
-            else:
-                payload = plain
-                code = _KIND_CODES[kind]
-            header = _frame_header(code, payload)
-            path = self._epoch_path(index)
-            tmp_path = path + ".tmp"
             try:
-                with open(tmp_path, "wb") as handle:
-                    handle.write(header)
-                    handle.write(payload)
-                    handle.flush()
-                    # The index counter, the durable file, and the
-                    # verified-cache entry must appear atomically or a
-                    # concurrent append could reuse the index of a
-                    # not-yet-durable epoch.
-                    # race-ok: fsync under _lock is deliberate (see above)
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, path)
+                self._write_epoch(
+                    Epoch(index, kind, data, parent, branch, name)
+                )
             except BaseException:
                 # The epoch never became durable; its lineage entry must
                 # not pollute AUTO resolution for the retrying caller.
                 self._lineage.pop(index, None)
                 raise
             self._next = index + 1
-            # We just wrote and framed this payload: it is verified by
-            # construction, so seed the cache with the pre-compression bytes.
-            signature = self._stat_signature(path)
-            if signature is not None:
-                self._verified[index] = (
-                    signature,
-                    Epoch(index, kind, plain, parent, branch, name),
-                )
             self._branch_tips[branch] = index
             self._last_branch = branch
             if name is not None:
@@ -631,10 +704,7 @@ class FileStore(CheckpointStore):
 
     def _branch_of(self, index: int) -> str:
         # caller holds _lock
-        meta = self._lineage.get(index)
-        if meta is not None:
-            return meta["branch"]
-        return _implied_lineage(index)["branch"]
+        return epoch_lineage(self._lineage, index)["branch"]
 
     def _next_index(self) -> int:
         """The index the next append will use.
@@ -664,6 +734,40 @@ class FileStore(CheckpointStore):
             json.dump(manifest, handle, indent=2, sort_keys=True)
         os.replace(tmp_path, self.manifest_path)
 
+    def _write_epoch(self, epoch: Epoch) -> None:
+        """Frame ``epoch`` into its file durably; seed the verified cache.
+
+        Caller holds ``_lock`` and has already recorded the epoch's
+        lineage entry, which it rolls back if this raises.
+        """
+        plain = bytes(epoch.data)
+        if self.compress:
+            payload = zlib.compress(plain, level=6)
+            code = _COMPRESSED_CODES[epoch.kind]
+        else:
+            payload = plain
+            code = _KIND_CODES[epoch.kind]
+        path = self._epoch_path(epoch.index)
+        tmp_path = path + ".tmp"
+        with open(tmp_path, "wb") as handle:
+            handle.write(_frame_header(code, payload))
+            handle.write(payload)
+            handle.flush()
+            # The index counter, the durable file, and the verified-cache
+            # entry must appear atomically or a concurrent append could
+            # reuse the index of a not-yet-durable epoch.
+            # race-ok: fsync under _lock is deliberate (see above)
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+        # We just wrote and framed this payload: it is verified by
+        # construction, so seed the cache with the pre-compression bytes.
+        signature = self._stat_signature(path)
+        if signature is not None:
+            verified = epoch._replace(data=plain)
+            self._verified[epoch.index] = (signature, verified)
+        else:
+            self._verified.pop(epoch.index, None)
+
     def remove(self, indices) -> None:
         """Delete the given epochs (compaction's deletion primitive).
 
@@ -691,19 +795,23 @@ class FileStore(CheckpointStore):
         protected = after.protected()
         self.remove(i for i in after.indices() if i not in protected)
 
-    def _rebuild_maps(self) -> None:
+    def _rebuild_maps(self, present: Optional[List[int]] = None) -> None:
         """Recompute branch tips / names from the files on disk.
 
-        Caller holds ``_lock``. Used after any operation that changes
-        the epoch set out of append order (compaction, epoch repair).
+        Caller holds ``_lock``. Used after opening the store and after
+        any operation that changes the epoch set out of append order
+        (compaction, epoch repair). ``present``, the ascending epoch
+        indices on disk, spares a caller that just listed them a rescan.
         """
+        if present is None:
+            present = [index for index, _ in self._epoch_files()]
         self._branch_tips = {}
         self._names = {}
         last = None
-        for index, _ in self._epoch_files():
-            meta = self._lineage.get(index) or _implied_lineage(index)
+        for index in present:
+            meta = epoch_lineage(self._lineage, index)
             self._branch_tips[meta["branch"]] = index
-            if meta.get("name") is not None:
+            if meta["name"] is not None:
                 self._names[meta["name"]] = index
             last = meta["branch"]
         self._last_branch = last
@@ -713,11 +821,11 @@ class FileStore(CheckpointStore):
     def _epoch_files(self) -> List[tuple]:
         found = []
         for name in os.listdir(self.directory):
-            if name.startswith("epoch-") and name.endswith(".ckpt"):
-                try:
-                    index = int(name[len("epoch-") : -len(".ckpt")])
-                except ValueError:
-                    continue
+            try:
+                index = epoch_file_index(name)
+            except ValueError:
+                continue
+            if index is not None:
                 found.append((index, os.path.join(self.directory, name)))
         found.sort()
         return found
@@ -739,30 +847,9 @@ class FileStore(CheckpointStore):
             for index in [i for i in self._verified if i not in live]:
                 del self._verified[index]
             for index, path in files:
-                signature = self._stat_signature(path)
-                cached = self._verified.get(index)
-                if (
-                    cached is not None
-                    and signature is not None
-                    and cached[0] == signature
-                ):
-                    result.append(cached[1])
-                    continue
-                self._verified.pop(index, None)
-                data = self._read_epoch(path)
-                if data is None:
+                epoch = self._verified_epoch(index, path)
+                if epoch is None:
                     break
-                meta = self._lineage.get(index) or _implied_lineage(index)
-                epoch = Epoch(
-                    index,
-                    data[0],
-                    data[1],
-                    meta["parent"],
-                    meta["branch"],
-                    meta.get("name"),
-                )
-                if signature is not None:
-                    self._verified[index] = (signature, epoch)
                 result.append(epoch)
             return result
 
@@ -777,32 +864,37 @@ class FileStore(CheckpointStore):
         with self._lock:
             result: Dict[int, Epoch] = {}
             for index, path in self._epoch_files():
-                signature = self._stat_signature(path)
-                cached = self._verified.get(index)
-                if (
-                    cached is not None
-                    and signature is not None
-                    and cached[0] == signature
-                ):
-                    result[index] = cached[1]
-                    continue
-                self._verified.pop(index, None)
-                data = self._read_epoch(path)
-                if data is None:
-                    continue  # damaged: skip it, keep scanning
-                meta = self._lineage.get(index) or _implied_lineage(index)
-                epoch = Epoch(
-                    index,
-                    data[0],
-                    data[1],
-                    meta["parent"],
-                    meta["branch"],
-                    meta.get("name"),
-                )
-                if signature is not None:
-                    self._verified[index] = (signature, epoch)
-                result[index] = epoch
+                epoch = self._verified_epoch(index, path)
+                if epoch is not None:  # damaged: skip it, keep scanning
+                    result[index] = epoch
             return result
+
+    def _verified_epoch(self, index: int, path: str) -> Optional[Epoch]:
+        """Epoch ``index`` verified from ``path``; ``None`` if damaged.
+
+        Caller holds ``_lock``. Served from the verified cache while the
+        file's stat signature is unchanged; a changed file is re-read.
+        """
+        signature = self._stat_signature(path)
+        cached = self._verified.get(index)
+        if (
+            cached is not None
+            and signature is not None
+            and cached[0] == signature
+        ):
+            return cached[1]
+        self._verified.pop(index, None)
+        data = self._read_epoch(path)
+        if data is None:
+            return None
+        meta = epoch_lineage(self._lineage, index)
+        kind, payload = data
+        epoch = Epoch(
+            index, kind, payload, meta["parent"], meta["branch"], meta["name"]
+        )
+        if signature is not None:
+            self._verified[index] = (signature, epoch)
+        return epoch
 
     def put_epoch(self, epoch: Epoch, overwrite: bool = False) -> None:
         """Place ``epoch`` at its own index — the read-repair primitive.
@@ -823,53 +915,18 @@ class FileStore(CheckpointStore):
                     f"{self.directory!r} (overwrite=True replaces it)"
                 )
             prior = self._lineage.get(epoch.index)
-            self._lineage[epoch.index] = {
-                "parent": epoch.parent,
-                "branch": epoch.branch,
-                "kind": epoch.kind,
-                "name": epoch.name,
-            }
+            self._lineage[epoch.index] = _lineage_entry(
+                epoch.parent, epoch.branch, epoch.kind, epoch.name
+            )
             self._write_manifest()
-            plain = bytes(epoch.data)
-            if self.compress:
-                payload = zlib.compress(plain, level=6)
-                code = _COMPRESSED_CODES[epoch.kind]
-            else:
-                payload = plain
-                code = _KIND_CODES[epoch.kind]
-            header = _frame_header(code, payload)
-            tmp_path = path + ".tmp"
             try:
-                with open(tmp_path, "wb") as handle:
-                    handle.write(header)
-                    handle.write(payload)
-                    handle.flush()
-                    # Matching append(): the file and the caches must
-                    # appear atomically to concurrent readers.
-                    # race-ok: fsync under _lock is deliberate (see above)
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, path)
+                self._write_epoch(epoch)
             except BaseException:
                 if prior is None:
                     self._lineage.pop(epoch.index, None)
                 else:
                     self._lineage[epoch.index] = prior
                 raise
-            signature = self._stat_signature(path)
-            if signature is not None:
-                self._verified[epoch.index] = (
-                    signature,
-                    Epoch(
-                        epoch.index,
-                        epoch.kind,
-                        plain,
-                        epoch.parent,
-                        epoch.branch,
-                        epoch.name,
-                    ),
-                )
-            else:
-                self._verified.pop(epoch.index, None)
             if self._next is not None and epoch.index >= self._next:
                 self._next = epoch.index + 1
             self._rebuild_maps()
@@ -885,14 +942,7 @@ class FileStore(CheckpointStore):
             path = self._epoch_path(index)
             if not os.path.exists(path):
                 return None
-            os.makedirs(self.quarantine_dir, exist_ok=True)
-            target = os.path.join(self.quarantine_dir, os.path.basename(path))
-            if os.path.exists(target):
-                stem = 0
-                while os.path.exists(f"{target}.{stem}"):
-                    stem += 1
-                target = f"{target}.{stem}"
-            os.replace(path, target)
+            target = quarantine_file(path, self.quarantine_dir)
             self._verified.pop(index, None)
             self.quarantined.append(target)
             return target
@@ -912,38 +962,18 @@ class FileStore(CheckpointStore):
 
     @staticmethod
     def _read_epoch(path: str):
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            return None
-        if len(raw) < _HEADER.size:
-            return None
-        magic, version, kind_code, length, crc = _HEADER.unpack_from(raw)
-        known = kind_code in _KIND_NAMES or kind_code in _COMPRESSED_NAMES
-        if magic != _MAGIC or version not in _SUPPORTED_FRAMES or not known:
-            return None
-        payload = raw[_HEADER.size : _HEADER.size + length]
-        if len(payload) != length:
-            return None
-        if frame_crc(version, kind_code, payload) != crc:
-            return None
-        if kind_code in _COMPRESSED_NAMES:
-            try:
-                return _COMPRESSED_NAMES[kind_code], zlib.decompress(payload)
-            except zlib.error:
-                return None  # CRC passed but the deflate stream is invalid
-        return _KIND_NAMES[kind_code], payload
+        """``(kind, plain payload)`` of an intact epoch file, else ``None``."""
+        status, kind, payload, _ = read_frame(path)
+        return (kind, payload) if status == INTACT else None
 
     def _serial_translation(
         self, registry: ClassRegistry
     ) -> Optional[Dict[int, int]]:
         try:
-            with open(self.manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
+            manifest = read_manifest(self.directory)
         except OSError:
             raise StorageError(f"missing manifest in {self.directory!r}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise StorageError(f"corrupt manifest in {self.directory!r}: {exc}")
         classes = manifest.get("classes")
         if not isinstance(classes, dict):
@@ -1110,35 +1140,57 @@ class BackgroundWriter(StoreDecorator):
             try:
                 if item is self._STOP:
                     return
-                with self._state_lock:
-                    failed = self._failed
-                    if failed:
-                        self.dropped += 1  # fail-stop: no writes past a hole
-                if failed:
-                    continue
-                kind, data, lineage = item
-                instrumented = self.tracer.enabled or self.metrics.enabled
-                start = time.perf_counter() if instrumented else 0.0
-                try:
-                    self.backing.append(kind, data, **lineage)
-                except BaseException as exc:  # surfaced on the next call
-                    with self._state_lock:
-                        self._error = exc
-                        self._cause = str(exc)
-                        self._failed = True
-                    self.tracer.event(
-                        "writer.failed", kind=kind, error=str(exc)
-                    )
-                    self.metrics.counter("writer_failures_total").inc()
-                else:
-                    if instrumented:
-                        self._note_drain(
-                            kind, len(data), time.perf_counter() - start
-                        )
+                self._write_queued(
+                    item, self.tracer.enabled or self.metrics.enabled
+                )
             finally:
                 self._queue.task_done()
                 if self._queue.unfinished_tasks == 0:
                     self._idle.set()
+
+    def _write_queued(self, item, instrumented: bool = False) -> None:
+        """Write one queued epoch under the fail-stop rule.
+
+        Once a write has failed nothing more is written: the epoch is
+        counted in :attr:`dropped` instead. This write's own failure is
+        kept for the next ``flush``/``close``/``epochs`` call to raise.
+        """
+        with self._state_lock:
+            failed = self._failed
+            if failed:
+                self.dropped += 1  # fail-stop: no writes past a hole
+        if failed:
+            return
+        kind, data, lineage = item
+        start = time.perf_counter() if instrumented else 0.0
+        try:
+            self._write(kind, data, deferred=True, **lineage)
+        except BaseException:  # kept by _write, surfaced on the next call
+            return
+        if instrumented:
+            self._note_drain(kind, len(data), time.perf_counter() - start)
+
+    def _write(self, kind, data, deferred=False, **append_kwargs):
+        """Append one epoch to the backing store; record a failure.
+
+        Every write comes through here — from the writer thread, from a
+        queue adopted after the thread died, and from a degraded
+        synchronous append — so a failed write always sets the
+        fail-stop state and emits ``writer.failed`` and
+        ``writer_failures_total``, then re-raises. A ``deferred`` failure
+        is also kept for the next ``flush``/``close``/``epochs`` call.
+        """
+        try:
+            return self.backing.append(kind, data, **append_kwargs)
+        except BaseException as exc:
+            with self._state_lock:
+                if deferred:
+                    self._error = exc
+                self._cause = str(exc)
+                self._failed = True
+            self.tracer.event("writer.failed", kind=kind, error=str(exc))
+            self.metrics.counter("writer_failures_total").inc()
+            raise
 
     def _note_drain(self, kind: str, size: int, elapsed: float) -> None:
         """One drained epoch's trace event and metrics."""
@@ -1187,22 +1239,8 @@ class BackgroundWriter(StoreDecorator):
             except queue.Empty:
                 break
             try:
-                if item is self._STOP:
-                    continue
-                with self._state_lock:
-                    failed = self._failed
-                    if failed:
-                        self.dropped += 1
-                if failed:
-                    continue
-                kind, data, lineage = item
-                try:
-                    self.backing.append(kind, data, **lineage)
-                except BaseException as exc:
-                    with self._state_lock:
-                        self._error = exc
-                        self._cause = str(exc)
-                        self._failed = True
+                if item is not self._STOP:
+                    self._write_queued(item)
             finally:
                 self._queue.task_done()
         if self._queue.unfinished_tasks == 0:
@@ -1290,13 +1328,10 @@ class BackgroundWriter(StoreDecorator):
             with self._state_lock:
                 self.sync_writes += 1
             try:
-                return self.backing.append(
+                return self._write(
                     kind, bytes(data), receipt=receipt, **lineage
                 )
             except BaseException as exc:
-                with self._state_lock:
-                    self._failed = True
-                    self._cause = str(exc)
                 raise StorageError(
                     f"background checkpoint write failed: {exc}"
                     + self._dropped_suffix()

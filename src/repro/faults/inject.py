@@ -84,6 +84,19 @@ def _file_store(store: CheckpointStore) -> FileStore:
     return store
 
 
+def _truncate(path: str, at_byte: int) -> int:
+    """Cut the file at ``path`` to ``at_byte`` bytes; returns the length kept.
+
+    At least the last byte is always lost, so the file's size (and with it
+    the store's stat signature of it) changes: a store drops the epoch's
+    verified-cache entry on its next read without being told.
+    """
+    keep = min(int(at_byte), max(os.path.getsize(path) - 1, 0))
+    with open(path, "rb+") as handle:
+        handle.truncate(keep)
+    return keep
+
+
 class FaultyStore(StoreDecorator):
     """Execute a fault plan against the wrapped store's append stream.
 
@@ -132,16 +145,13 @@ class FaultyStore(StoreDecorator):
         return _file_store(self.backing)._epoch_path(index)
 
     def _tear(self, index: int, at_byte: int) -> None:
-        path = self._epoch_path(index)
-        size = os.path.getsize(path)
-        keep = min(int(at_byte), max(size - 1, 0))
-        with open(path, "rb+") as handle:
-            handle.truncate(keep)
+        keep = _truncate(self._epoch_path(index), at_byte)
         self.injected.append(f"torn epoch {index} at byte {keep}")
 
     def _flip(self, index: int, bit: int) -> None:
         path = self._epoch_path(index)
-        data = bytearray(open(path, "rb").read())
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
         if not data:
             return
         position = int(bit) % (len(data) * 8)
@@ -260,13 +270,7 @@ class ReplicaFaultStore(StoreDecorator):
         # torn-replica-write
         keep = min(int(spec.param), max(len(epoch.data) - 1, 0))
         if isinstance(self.backing, FileStore):
-            path = self.backing._epoch_path(index)
-            size = os.path.getsize(path)
-            with open(path, "rb+") as handle:
-                handle.truncate(min(keep, max(size - 1, 0)))
-            # the cached verified payload must not outlive the damage
-            with self.backing._lock:
-                self.backing._verified.pop(index, None)
+            _truncate(self.backing._epoch_path(index), keep)
         else:
             self.backing.put_epoch(
                 epoch._replace(data=bytes(epoch.data[:keep])),

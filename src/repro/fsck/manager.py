@@ -23,9 +23,12 @@ can trust:
    Orphan *branches* (a fork whose base chain was destroyed) are
    quarantined with their bytes intact, never deleted.
 
-A manifest with an unknown ``format_version`` is a classified finding:
-the scan reports it and marks the directory inconsistent (the CLI exits
-nonzero) instead of guessing at lineage written by a newer tool.
+A manifest with a missing or unknown ``format_version`` is a classified
+finding: the scan reports it and marks the directory inconsistent (the
+CLI exits nonzero) instead of guessing at lineage written by a newer
+tool. The directory format itself — frames, manifest, file names, the
+quarantine move — is read through :mod:`repro.core.storage`, the same
+functions :class:`~repro.core.storage.FileStore` uses.
 
 The recovery invariant, checked by the fault-injection suite: after
 ``repair()``, every epoch still present materializes byte-identically
@@ -36,28 +39,28 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.errors import StorageError
-from repro.core.lineage import MAIN_BRANCH
+from repro.core.errors import ManifestVersionError, StorageError
+from repro.core.lineage import MAIN_BRANCH, Lineage
 from repro.core.storage import (
-    _COMPRESSED_NAMES,
-    _HEADER,
-    _KIND_NAMES,
-    _MAGIC,
-    _SUPPORTED_MANIFESTS,
-    _SUPPORTED_FRAMES,
-    _implied_lineage,
+    CORRUPT,
     FULL,
-    frame_crc,
+    INTACT,
+    MANIFEST_NAME,
+    SUPPORTED_MANIFESTS,
+    TORN,
+    Epoch,
+    epoch_file_index,
+    epoch_lineage,
+    manifest_lineage,
+    quarantine_file,
+    read_frame,
+    read_manifest,
 )
 from repro.obs.tracer import NULL_TRACER
 
-INTACT = "intact"
-TORN = "torn"
-CORRUPT = "corrupt"
 ORPHAN_TMP = "orphan-tmp"
 UNREACHABLE = "unreachable"
 FOREIGN = "foreign"
@@ -166,40 +169,6 @@ class FsckReport:
         )
 
 
-def _classify_epoch_file(path: str) -> tuple:
-    """``(status, kind, detail)`` of one ``epoch-*.ckpt`` file."""
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        return TORN, None, f"unreadable: {exc}"
-    if len(raw) < _HEADER.size:
-        return TORN, None, f"only {len(raw)} of {_HEADER.size} header bytes"
-    magic, version, kind_code, length, crc = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        return CORRUPT, None, f"bad magic {magic!r}"
-    if version not in _SUPPORTED_FRAMES:
-        return CORRUPT, None, f"unknown format version {version}"
-    known = kind_code in _KIND_NAMES or kind_code in _COMPRESSED_NAMES
-    if not known:
-        return CORRUPT, None, f"unknown kind code {kind_code}"
-    kind = _KIND_NAMES.get(kind_code) or _COMPRESSED_NAMES[kind_code]
-    payload = raw[_HEADER.size : _HEADER.size + length]
-    if len(payload) < length:
-        return TORN, kind, f"payload {len(payload)} of {length} bytes"
-    if frame_crc(version, kind_code, payload) != crc:
-        return CORRUPT, kind, "CRC mismatch"
-    if kind_code in _COMPRESSED_NAMES:
-        try:
-            zlib.decompress(payload)
-        except zlib.error:
-            return CORRUPT, kind, "CRC intact but deflate stream invalid"
-    if len(raw) > _HEADER.size + length:
-        # Trailing garbage past the frame: the frame itself is usable.
-        return INTACT, kind, f"{len(raw) - _HEADER.size - length} trailing bytes"
-    return INTACT, kind, ""
-
-
 class RecoveryManager:
     """Scan and repair one checkpoint directory (see module docstring)."""
 
@@ -257,26 +226,27 @@ class RecoveryManager:
                 ORPHAN_TMP,
                 detail="temporary left by an interrupted write",
             )
-        if name == "manifest.json":
+        if name == MANIFEST_NAME:
             return FileReport(name, MANIFEST)
-        if name.startswith("epoch-") and name.endswith(".ckpt"):
-            try:
-                index = int(name[len("epoch-") : -len(".ckpt")])
-            except ValueError:
-                return FileReport(
-                    name, FOREIGN, detail="epoch-like name, unparsable index"
-                )
-            status, kind, detail = _classify_epoch_file(path)
-            return FileReport(name, status, index=index, kind=kind, detail=detail)
-        return FileReport(name, FOREIGN, detail="not a store file")
+        try:
+            index = epoch_file_index(name)
+        except ValueError:
+            return FileReport(
+                name, FOREIGN, detail="epoch-like name, unparsable index"
+            )
+        if index is None:
+            return FileReport(name, FOREIGN, detail="not a store file")
+        status, kind, _, detail = read_frame(path)
+        return FileReport(name, status, index=index, kind=kind, detail=detail)
 
     def _resolve_sequence(
         self, report: FsckReport, lineage_meta: Dict[int, dict]
     ) -> None:
         """Durable epochs: intact epochs whose whole base chain is intact.
 
-        Lineage-graph semantics: walk each epoch's parent pointers down
-        to its nearest full checkpoint; a damaged or missing ancestor
+        Lineage-graph semantics (:meth:`Lineage.intact_chain` over the
+        intact epochs): walk each epoch's parent pointers down to its
+        nearest full checkpoint; a damaged or missing ancestor
         reclassifies the (file-intact) epoch ``unreachable``, because no
         recovery line can materialize it. Epochs without a manifest
         lineage entry get the implied linear lineage (parent = index−1,
@@ -286,128 +256,75 @@ class RecoveryManager:
         branch* — reported as such, and quarantined (never deleted) by
         :meth:`repair`.
         """
-        epoch_entries = sorted(
-            (entry for entry in report.files if entry.index is not None),
-            key=lambda entry: entry.index,
-        )
-        by_index = {entry.index: entry for entry in epoch_entries}
-
-        def meta_of(index: int) -> dict:
-            meta = lineage_meta.get(index)
-            return meta if meta is not None else _implied_lineage(index)
-
-        chain_ok: Dict[int, bool] = {}
-
-        def walk(index: int) -> bool:
-            trail: List[int] = []
-            visited = set()
-            current = index
-            while True:
-                if current in chain_ok:
-                    verdict = chain_ok[current]
-                    break
-                if current in visited:
-                    verdict = False  # a lineage cycle materializes nothing
-                    break
-                visited.add(current)
-                entry = by_index.get(current)
-                if entry is None or entry.status != INTACT:
-                    verdict = False
-                    break
-                trail.append(current)
-                if entry.kind == FULL:
-                    verdict = True  # a full is its own base
-                    break
-                parent = meta_of(current).get("parent")
-                if parent is None:
-                    # A parentless delta: nothing above it to lose. It is
-                    # durable (its bytes are sound) but contributes no
-                    # recovery base — ``recoverable`` stays with fulls.
-                    verdict = True
-                    break
-                current = parent
-            for i in trail:
-                chain_ok[i] = verdict
-            chain_ok[index] = verdict
-            return verdict
-
-        durable: List[int] = []
-        orphans: Dict[str, bool] = {}
-        branches: Dict[str, int] = {}
-        named: Dict[str, int] = {}
-        for entry in epoch_entries:
-            meta = meta_of(entry.index)
-            branch = meta.get("branch") or MAIN_BRANCH
+        intact = []
+        epoch_files = [e for e in report.files if e.index is not None]
+        for entry in sorted(epoch_files, key=lambda e: e.index):
             if entry.status != INTACT:
                 continue
-            if walk(entry.index):
-                durable.append(entry.index)
-                branches[branch] = entry.index
-                orphans.setdefault(branch, False)
-                name = meta.get("name")
-                if name:
-                    named[name] = entry.index
+            meta = epoch_lineage(lineage_meta, entry.index)
+            record = Epoch(
+                entry.index,
+                entry.kind,
+                b"",
+                meta["parent"],
+                meta["branch"],
+                meta["name"],
+            )
+            intact.append((entry, record))
+        graph = Lineage(record for _, record in intact)
+        durable = []
+        orphans: Dict[str, bool] = {}
+        for entry, record in intact:
+            if graph.intact_chain(record.index):
+                durable.append(record)
+                orphans.setdefault(record.branch, False)
             else:
                 entry.status = UNREACHABLE
-                if branch != MAIN_BRANCH:
+                if record.branch != MAIN_BRANCH:
                     entry.detail = (
                         "intact but its base chain is broken "
-                        f"(orphan branch {branch!r})"
+                        f"(orphan branch {record.branch!r})"
                     )
-                    orphans.setdefault(branch, True)
+                    orphans.setdefault(record.branch, True)
                 else:
                     entry.detail = "intact but its base chain is broken"
-        report.durable_epochs = durable
-        report.branches = branches
-        report.named = named
+        survivors = Lineage(durable)
+        report.durable_epochs = [record.index for record in durable]
+        report.branches = survivors.branches()
+        report.named = survivors.named()
         report.orphan_branches = sorted(
             branch for branch, orphaned in orphans.items() if orphaned
         )
-        report.recoverable = any(
-            by_index[index].kind == FULL for index in durable
-        )
+        report.recoverable = any(record.kind == FULL for record in durable)
 
     def _check_manifest(self, report: FsckReport) -> Dict[int, dict]:
         """Validate the manifest; return its epoch lineage map (if any)."""
-        path = os.path.join(self.directory, "manifest.json")
-        lineage_meta: Dict[int, dict] = {}
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            manifest = read_manifest(self.directory)
+        except (OSError, ValueError):
             manifest = None
-        if manifest is None or not isinstance(manifest.get("classes"), dict):
-            report.manifest_ok = False
-            report.actions.append("manifest missing or malformed")
-            return lineage_meta
-        version = manifest.get("format_version", 1)
-        report.format_version = version
-        if version not in _SUPPORTED_MANIFESTS:
+        except ManifestVersionError as exc:
             # A newer (or garbage) manifest format: classify, do not guess.
+            version = exc.version
+            report.format_version = version
             report.manifest_ok = False
             report.manifest_supported = False
             report.actions.append(
                 f"unsupported manifest format_version {version!r} (this "
-                f"tool understands {sorted(_SUPPORTED_MANIFESTS)}); "
+                f"tool understands {sorted(SUPPORTED_MANIFESTS)}); "
                 "refusing to interpret the epoch lineage"
             )
             for entry in report.files:
-                if entry.name == "manifest.json":
-                    entry.detail = (
-                        f"unsupported format_version {version!r}"
-                    )
-            return lineage_meta
+                if entry.name == MANIFEST_NAME:
+                    entry.detail = f"unsupported format_version {version!r}"
+            return {}
+        if manifest is None or not isinstance(manifest.get("classes"), dict):
+            report.manifest_ok = False
+            report.actions.append("manifest missing or malformed")
+            return {}
+        report.format_version = manifest["format_version"]
         report.manifest_ok = True
-        raw = manifest.get("lineage")
-        if isinstance(raw, dict):
-            for key, value in raw.items():
-                try:
-                    index = int(key)
-                except (TypeError, ValueError):
-                    continue
-                if isinstance(value, dict):
-                    lineage_meta[index] = value
-        return lineage_meta
+        return manifest_lineage(manifest)
 
     # -- repairing ---------------------------------------------------------
 
@@ -461,15 +378,8 @@ class RecoveryManager:
 
     def _quarantine(self, name: str) -> bool:
         source = os.path.join(self.directory, name)
-        target = os.path.join(self.quarantine_dir, name)
         try:
-            os.makedirs(self.quarantine_dir, exist_ok=True)
-            if os.path.exists(target):
-                suffix = 0
-                while os.path.exists(f"{target}.{suffix}"):
-                    suffix += 1
-                target = f"{target}.{suffix}"
-            os.replace(source, target)
+            quarantine_file(source, self.quarantine_dir)
         except OSError:
             return False
         return True

@@ -16,6 +16,8 @@ from repro.core.storage import (
     MemoryStore,
     RetryingStore,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import MemoryExporter, Tracer
 from tests.conftest import build_root
 
 
@@ -325,6 +327,23 @@ class TestBackgroundWriterDegradation:
         )
         assert [e.data for e in writer.epochs()] == [b"x", b"y"]
         assert writer.degraded
+        writer.close()
+
+    def test_degraded_write_failure_is_traced_and_counted(self):
+        class _BrokenStore(MemoryStore):
+            def append(self, kind, data, **lineage):
+                raise OSError("disk full")
+
+        exporter = MemoryExporter()
+        metrics = MetricsRegistry()
+        writer = BackgroundWriter(_BrokenStore())
+        writer.instrument(Tracer([exporter]), metrics)
+        self.kill_thread(writer)
+        with pytest.raises(StorageError, match="disk full"):
+            writer.append(INCREMENTAL, b"lost")
+        # the same record the writer thread leaves for a failed write
+        assert len(exporter.of_type("writer.failed")) == 1
+        assert metrics.counter("writer_failures_total").value == 1
         writer.close()
 
 

@@ -4,7 +4,8 @@ A crash can leave the newest epoch file truncated at *any* byte. For
 every boundary through the 14-byte header and well into the payload,
 ``epochs()`` must stop cleanly at the hole — no exception, no stale
 ``_verified`` cache entry — and ``recover()`` must rebuild exactly the
-state of the intact prefix.
+state of the intact prefix. ``fsck`` decodes frames with the same
+function, so it must agree on what survived and call the cut file torn.
 """
 
 import os
@@ -12,6 +13,7 @@ import shutil
 
 from repro.core.storage import _HEADER, FileStore
 from repro.faults.crashsim import table_fingerprint
+from repro.fsck.manager import TORN, RecoveryManager
 from repro.runtime.session import CheckpointSession
 from tests.conftest import build_root
 
@@ -75,6 +77,10 @@ def test_truncation_at_every_boundary(tmp_path):
         )
         # The stale cache entry for the torn epoch must be gone.
         assert EPOCHS - 1 not in store._verified, f"stale cache at cut {cut}"
+        report = RecoveryManager(directory).scan()
+        assert report.durable_epochs == prefix_indices, f"fsck at cut {cut}"
+        status = {entry.name: entry.status for entry in report.files}
+        assert status[os.path.basename(path)] == TORN, f"cut {cut}"
 
         recovered = store.recover()
         assert table_fingerprint(recovered) == expected, (

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.errors import ManifestVersionError
 from repro.core.storage import FULL, FileStore, MemoryStore
 from repro.fsck.cli import main
 from repro.fsck.manager import RecoveryManager
@@ -87,35 +88,56 @@ class TestOrphanBranch:
         assert main([directory], out=io.StringIO()) == 1
 
 
+def skewed_stores(fixture_tool, tmp_path):
+    """Branched stores whose manifest format_version is unknown or absent."""
+    unknown, _ = build(fixture_tool, tmp_path, "unknown-version")
+    missing, _ = build(fixture_tool, tmp_path, "none")
+    path = os.path.join(missing, "manifest.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    del manifest["format_version"]
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+    return [unknown, missing]
+
+
 class TestUnknownFormatVersion:
     def test_scan_fails_gracefully(self, fixture_tool, tmp_path):
-        directory, _ = build(fixture_tool, tmp_path, "unknown-version")
-        report = RecoveryManager(directory).scan()
-        assert not report.consistent
-        assert not report.manifest_supported
-        assert not report.manifest_ok
-        assert any(
-            "format_version" in action for action in report.actions
-        )
+        for directory in skewed_stores(fixture_tool, tmp_path):
+            report = RecoveryManager(directory).scan()
+            assert not report.consistent, directory
+            assert not report.manifest_supported, directory
+            assert not report.manifest_ok, directory
+            assert any(
+                "format_version" in action for action in report.actions
+            )
 
     def test_cli_exit_nonzero_no_traceback(self, fixture_tool, tmp_path):
-        directory, _ = build(fixture_tool, tmp_path, "unknown-version")
-        out = io.StringIO()
-        code = main([directory, "--json"], out=out)
-        payload = json.loads(out.getvalue())
-        assert code == 1
-        assert payload["manifest_supported"] is False
+        for directory in skewed_stores(fixture_tool, tmp_path):
+            out = io.StringIO()
+            code = main([directory, "--json"], out=out)
+            payload = json.loads(out.getvalue())
+            assert code == 1, directory
+            assert payload["manifest_supported"] is False, directory
+
+    def test_store_refuses_to_open(self, fixture_tool, tmp_path):
+        # the store and fsck judge the manifest with the same reader
+        for directory in skewed_stores(fixture_tool, tmp_path):
+            with pytest.raises(ManifestVersionError, match="format_version"):
+                FileStore(directory)
 
     def test_repair_refuses_to_move_files(self, fixture_tool, tmp_path):
-        directory, _ = build(fixture_tool, tmp_path, "unknown-version")
-        before = sorted(os.listdir(directory))
-        manager = RecoveryManager(directory)
-        report = manager.repair()
-        assert sorted(os.listdir(directory)) == before
-        assert not os.path.isdir(manager.quarantine_dir) or not os.listdir(
-            manager.quarantine_dir
-        )
-        assert any("repair refused" in action for action in report.actions)
+        for directory in skewed_stores(fixture_tool, tmp_path):
+            before = sorted(os.listdir(directory))
+            manager = RecoveryManager(directory)
+            report = manager.repair()
+            assert sorted(os.listdir(directory)) == before, directory
+            assert not os.path.isdir(
+                manager.quarantine_dir
+            ) or not os.listdir(manager.quarantine_dir)
+            assert any(
+                "repair refused" in action for action in report.actions
+            )
 
 
 class TestTornHead:
