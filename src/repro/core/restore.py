@@ -23,6 +23,13 @@ Errors name absolute offsets within the whole line, so that an fsck line
 points at the failing record. The resulting :class:`ObjectTable` maps
 identifiers to live objects; all restored objects have their
 modification flag clear.
+
+Compaction needs the line's state as bytes, not as objects, and a
+record already holds its object's complete local state, so
+:func:`compact_epochs` runs pass 1's checks without making objects and
+copies each identifier's newest record, in first-appearance order, under
+a header naming the live class serial. Those are the bytes that
+re-recording a replayed table writes, without the table.
 """
 
 from __future__ import annotations
@@ -362,6 +369,27 @@ def replay(
     return table
 
 
+def _chain_streams(epochs: Iterable) -> List[bytes]:
+    """The streams of a resolved base+delta chain, after its shape checks."""
+    chain = list(epochs)
+    if not chain:
+        raise RestoreError("cannot replay an empty epoch chain")
+    # Kind literals, not storage constants: importing storage here would
+    # be circular (storage replays through this module).
+    if chain[0].kind != "full":
+        raise RestoreError(
+            f"epoch chain must start at a full checkpoint, got "
+            f"{chain[0].kind!r}"
+        )
+    for epoch in chain[1:]:
+        if epoch.kind != "incremental":
+            raise RestoreError(
+                f"epoch chain continues with {epoch.kind!r} where an "
+                "incremental delta was expected"
+            )
+    return [epoch.data for epoch in chain]
+
+
 def replay_epochs(
     epochs: Iterable,
     registry: Optional[ClassRegistry] = None,
@@ -376,28 +404,108 @@ def replay_epochs(
     element is a full checkpoint and whose remainder are the
     incremental deltas down to the target epoch, oldest first.
     """
-    chain = list(epochs)
-    if not chain:
-        raise RestoreError("cannot replay an empty epoch chain")
-    # Kind literals, not storage constants: importing storage here would
-    # be circular (storage replays through this function).
-    if chain[0].kind != "full":
-        raise RestoreError(
-            f"epoch chain must start at a full checkpoint, got "
-            f"{chain[0].kind!r}"
-        )
-    for epoch in chain[1:]:
-        if epoch.kind != "incremental":
+    streams = _chain_streams(epochs)
+    return replay(streams[0], streams[1:], registry, serial_translation)
+
+
+def _scan_epoch(
+    data: bytes,
+    base_offset: int,
+    newest: Dict[int, tuple],
+    layouts: _Layouts,
+) -> int:
+    """Pass 1 over one epoch without objects: validate, note each record.
+
+    :func:`_validate_epoch`'s checks and messages, against ``newest``
+    (id → ``(class, stream, payload start, payload length)`` of its
+    newest record so far) instead of a table. Returns the largest id the
+    epoch records (−1 for an empty epoch).
+    """
+    header = _HEADER.unpack_from
+    inp = DataInputStream(data, base_offset)
+    unresolved: Dict[int, int] = {}
+    high = -1
+    pos = 0
+    end = len(data)
+    while pos < end:
+        record = pos
+        if end - pos >= 8:
+            object_id, serial = header(data, pos)
+        else:  # the stream reader raises the truncation error
+            inp.seek(pos)
+            object_id = inp.read_int32()
+            serial = inp.read_int32()
+        cls, schema, children = layouts[serial]
+        known = newest.get(object_id)
+        if known is None:
+            unresolved.pop(object_id, None)
+        elif known[0] is not cls:
             raise RestoreError(
-                f"epoch chain continues with {epoch.kind!r} where an "
-                "incremental delta was expected"
+                f"object id {object_id} recorded as {cls.__name__} but the "
+                f"table holds a {known[0].__name__}"
             )
-    return replay(
-        chain[0].data,
-        [epoch.data for epoch in chain[1:]],
-        registry,
-        serial_translation,
-    )
+        if object_id > high:
+            high = object_id
+        pos += 8
+        # a payload length, unlike an end offset, is a cached small int
+        if children is not None and pos + children.size <= end:
+            length = children.size
+            newest[object_id] = (cls, data, pos, length)
+            for child_id in children.unpack_from(data, pos):
+                if child_id != -1 and child_id not in newest:
+                    unresolved.setdefault(child_id, record)
+        else:
+            refs: List[int] = []
+            inp.seek(pos)
+            _skip_payload(inp, schema, refs)
+            length = inp.position - pos
+            newest[object_id] = (cls, data, pos, length)
+            for child_id in refs:
+                if child_id not in newest:
+                    unresolved.setdefault(child_id, record)
+        pos += length
+    if unresolved:
+        child_id, record = next(iter(unresolved.items()))
+        raise RestoreError(
+            f"checkpoint references unknown object id {child_id} "
+            f"from the record at offset {base_offset + record}"
+        )
+    return high
+
+
+def compact_epochs(
+    epochs: Iterable,
+    registry: Optional[ClassRegistry] = None,
+    serial_translation: Optional[Dict[int, int]] = None,
+) -> bytes:
+    """The full checkpoint holding the state at the end of a resolved chain.
+
+    Takes what :func:`replay_epochs` takes and raises what it raises,
+    with the same offsets, and advances the id allocator the same way,
+    but makes no objects: each identifier's newest record (the later one
+    when an epoch records it twice) is copied under an ``(id, live class
+    serial)`` header, identifiers in the order the line first records
+    them. That is byte for byte what re-recording every object of the
+    replayed table writes.
+    """
+    streams = _chain_streams(epochs)
+    layouts = _Layouts(registry or DEFAULT_REGISTRY, serial_translation)
+    # insertion order is first appearance; the value is the newest record
+    newest: Dict[int, tuple] = {}
+    high = -1
+    offset = 0
+    for data in streams:
+        high = max(high, _scan_epoch(data, offset, newest, layouts))
+        DEFAULT_ALLOCATOR.advance_past(high)
+        offset += len(data)
+    pack = _HEADER.pack
+    # a bytearray, not a join: joining a list of every record's pieces
+    # holds a buffer descriptor per piece, more than the records' bytes
+    out = bytearray()
+    for object_id, (cls, data, start, length) in newest.items():
+        out += pack(object_id, cls._ckpt_serial)
+        out += data[start : start + length]
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import re
 import struct
 import threading
 import time
@@ -51,7 +52,7 @@ from repro.core.lineage import (
     resolve_parent,
 )
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
-from repro.core.restore import ObjectTable, replay_epochs
+from repro.core.restore import ObjectTable, compact_epochs, replay_epochs
 from repro.core.retry import RetryPolicy, RetryStats
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
@@ -77,12 +78,14 @@ SUPPORTED_MANIFESTS = (1, MANIFEST_VERSION)
 MANIFEST_NAME = "manifest.json"
 _KIND_CODES = {FULL: 0, INCREMENTAL: 1}
 _KIND_NAMES = {0: FULL, 1: INCREMENTAL}
-# Compressed variants share the kind space; readers handle both
-# transparently, so compressed and plain epochs can coexist in one store.
-_COMPRESSED_CODES = {FULL: 2, INCREMENTAL: 3}
+# zlib-compressed payloads, which older writers could produce; still read
 _COMPRESSED_NAMES = {2: FULL, 3: INCREMENTAL}
 _HEADER = struct.Struct("<4sBBII")  # magic, version, kind, length, crc32
 _KIND_LENGTH = struct.Struct("<BI")
+#: exactly the names ``f"epoch-{index:06d}.ckpt"`` gives: six digits, or
+#: more without a leading zero (one match costs less than parsing and
+#: re-formatting the index, and ``epochs()`` runs it on every file)
+_EPOCH_NAME = re.compile(r"epoch-([0-9]{6}|[1-9][0-9]{6,})\.ckpt")
 
 
 def frame_crc(version: int, kind_code: int, payload: bytes) -> int:
@@ -199,10 +202,15 @@ def epoch_file_index(name: str) -> Optional[int]:
     """The index an ``epoch-NNNNNN.ckpt`` file name carries.
 
     ``None`` for a name of any other shape; ``ValueError`` for an
-    epoch-like name whose index does not parse.
+    epoch-like name that is not the one a store writes for its index
+    (``epoch-1.ckpt`` beside ``epoch-000001.ckpt`` is not a second
+    epoch 1).
     """
+    match = _EPOCH_NAME.fullmatch(name)
+    if match is not None:
+        return int(match[1])
     if name.startswith("epoch-") and name.endswith(".ckpt"):
-        return int(name[len("epoch-") : -len(".ckpt")])
+        raise ValueError(f"{name!r} is not an epoch file name a store writes")
     return None
 
 
@@ -562,12 +570,9 @@ class FileStore(CheckpointStore):
         self,
         directory: str,
         registry: Optional[ClassRegistry] = None,
-        compress: bool = False,
     ) -> None:
         self.directory = directory
         self._registry = registry or DEFAULT_REGISTRY
-        #: zlib-compress epoch payloads on write (reads are transparent)
-        self.compress = compress
         #: index -> (stat signature, verified Epoch)
         self._verified: Dict[int, tuple] = {}
         #: next epoch index to assign; None until the first append scans
@@ -740,13 +745,8 @@ class FileStore(CheckpointStore):
         Caller holds ``_lock`` and has already recorded the epoch's
         lineage entry, which it rolls back if this raises.
         """
-        plain = bytes(epoch.data)
-        if self.compress:
-            payload = zlib.compress(plain, level=6)
-            code = _COMPRESSED_CODES[epoch.kind]
-        else:
-            payload = plain
-            code = _KIND_CODES[epoch.kind]
+        payload = bytes(epoch.data)
+        code = _KIND_CODES[epoch.kind]
         path = self._epoch_path(epoch.index)
         tmp_path = path + ".tmp"
         with open(tmp_path, "wb") as handle:
@@ -760,10 +760,10 @@ class FileStore(CheckpointStore):
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
         # We just wrote and framed this payload: it is verified by
-        # construction, so seed the cache with the pre-compression bytes.
+        # construction, so seed the cache with it.
         signature = self._stat_signature(path)
         if signature is not None:
-            verified = epoch._replace(data=plain)
+            verified = epoch._replace(data=payload)
             self._verified[epoch.index] = (signature, verified)
         else:
             self._verified.pop(epoch.index, None)
@@ -900,10 +900,10 @@ class FileStore(CheckpointStore):
         """Place ``epoch`` at its own index — the read-repair primitive.
 
         Writes the same frame :meth:`append` would have written (so a
-        repaired replica is byte-identical to a healthy one when both
-        use the same compression setting) plus the epoch's lineage
-        entry, and refreshes the branch-tip/name maps and the next-index
-        counter. ``overwrite=False`` refuses to touch an existing file.
+        repaired replica is byte-identical to a healthy one) plus the
+        epoch's lineage entry, and refreshes the branch-tip/name maps
+        and the next-index counter. ``overwrite=False`` refuses to touch
+        an existing file.
         """
         if epoch.kind not in _KIND_CODES:
             raise StorageError(f"unknown checkpoint kind {epoch.kind!r}")
@@ -1422,9 +1422,11 @@ def compact(
     """Fold one branch's recovery line into a fresh full checkpoint.
 
     Long delta chains make recovery slow and retain dead epochs;
-    compaction replays the chain of ``branch``'s tip (default: the
-    newest epoch's branch), records every live object into a new full
-    epoch, and appends it onto that branch. With ``keep_history=False``
+    compaction takes the chain of ``branch``'s tip (default: the newest
+    epoch's branch) from the lineage it reads once, copies each object's
+    newest record into a new full epoch (:func:`compact_epochs`, which
+    validates every record as replay does but builds no objects), and
+    appends it onto that branch. With ``keep_history=False``
     (the default) the store then prunes every epoch the lineage graph no
     longer protects (:meth:`CheckpointStore.prune`; only stores that
     delete, like :class:`FileStore`, do anything): an epoch survives iff
@@ -1435,10 +1437,10 @@ def compact(
     For a linear, unnamed store the protected set is exactly the new
     base, reproducing the old delete-everything-below behaviour.
 
-    Returns the epoch index of the new base. The compacted state is
-    byte-for-byte equivalent for recovery: ``recover()`` before and
-    after yields structurally identical object tables (tests enforce
-    this).
+    Returns the epoch index of the new base. The new base is the bytes
+    that recording every object of the replayed chain writes, so
+    ``recover()`` before and after yields the same object table (tests
+    enforce both). The live heap is never touched.
     """
     registry = registry or DEFAULT_REGISTRY
     lineage = store.lineage()
@@ -1450,19 +1452,10 @@ def compact(
             raise StorageError(f"unknown branch {branch!r}; cannot compact")
         head = tips[branch]
     head_epoch = lineage.epoch(head)
-    table = store.materialize(head, registry)
-
-    # Re-record every object. Flags are irrelevant here: we synthesize a
-    # full checkpoint directly from the table (restored objects are clean).
-    from repro.core.streams import DataOutputStream
-
-    out = DataOutputStream()
-    for obj in table.objects():
-        out.write_int32(obj._ckpt_info.object_id)
-        out.write_int32(obj._ckpt_serial)
-        obj.record(out)
+    translation = store._serial_translation(registry)
+    data = compact_epochs(lineage.chain(head), registry, translation)
     new_index = store.append(
-        FULL, out.getvalue(), parent=head, branch=head_epoch.branch
+        FULL, data, parent=head, branch=head_epoch.branch
     )
 
     if not keep_history:

@@ -232,7 +232,7 @@ class RecoveryManager:
             index = epoch_file_index(name)
         except ValueError:
             return FileReport(
-                name, FOREIGN, detail="epoch-like name, unparsable index"
+                name, FOREIGN, detail="epoch-like name that no store writes"
             )
         if index is None:
             return FileReport(name, FOREIGN, detail="not a store file")
@@ -251,10 +251,10 @@ class RecoveryManager:
         recovery line can materialize it. Epochs without a manifest
         lineage entry get the implied linear lineage (parent = index−1,
         branch ``main``), which reproduces the historical
-        contiguous-prefix behaviour on pre-lineage stores. An intact
-        epoch on a non-main branch whose chain is broken is an *orphan
-        branch* — reported as such, and quarantined (never deleted) by
-        :meth:`repair`.
+        contiguous-prefix behaviour on pre-lineage stores. A non-main
+        branch with stranded epochs and no durable one is an *orphan
+        branch* — reported as such; :meth:`repair` quarantines (never
+        deletes) every stranded epoch, orphaned or not.
         """
         intact = []
         epoch_files = [e for e in report.files if e.index is not None]
@@ -273,28 +273,28 @@ class RecoveryManager:
             intact.append((entry, record))
         graph = Lineage(record for _, record in intact)
         durable = []
-        orphans: Dict[str, bool] = {}
+        stranded = []
         for entry, record in intact:
             if graph.intact_chain(record.index):
                 durable.append(record)
-                orphans.setdefault(record.branch, False)
             else:
-                entry.status = UNREACHABLE
-                if record.branch != MAIN_BRANCH:
-                    entry.detail = (
-                        "intact but its base chain is broken "
-                        f"(orphan branch {record.branch!r})"
-                    )
-                    orphans.setdefault(record.branch, True)
-                else:
-                    entry.detail = "intact but its base chain is broken"
+                stranded.append((entry, record.branch))
         survivors = Lineage(durable)
         report.durable_epochs = [record.index for record in durable]
         report.branches = survivors.branches()
         report.named = survivors.named()
-        report.orphan_branches = sorted(
-            branch for branch, orphaned in orphans.items() if orphaned
-        )
+        # A branch is orphaned only when none of its epochs is durable.
+        orphans = {
+            branch
+            for _, branch in stranded
+            if branch != MAIN_BRANCH and branch not in report.branches
+        }
+        for entry, branch in stranded:
+            entry.status = UNREACHABLE
+            entry.detail = "intact but its base chain is broken"
+            if branch in orphans:
+                entry.detail += f" (orphan branch {branch!r})"
+        report.orphan_branches = sorted(orphans)
         report.recoverable = any(record.kind == FULL for record in durable)
 
     def _check_manifest(self, report: FsckReport) -> Dict[int, dict]:

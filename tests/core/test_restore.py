@@ -12,6 +12,7 @@ from repro.core.restore import (
     state_digest,
     structurally_equal,
 )
+from repro.core.storage import FULL, INCREMENTAL, MemoryStore, compact
 from repro.core.streams import DataOutputStream
 from tests.conftest import Leaf, Mid, Root, build_root, make_class
 from repro.core.fields import child, scalar
@@ -193,8 +194,20 @@ def _entry(obj):
 
 
 def _replay_error(base, deltas):
+    """Replay's error for the chain; compacting a store holding the same
+    chain must raise the same text and leave the store's epochs as they
+    were."""
     with pytest.raises(RestoreError) as caught:
         replay(base, deltas)
+    store = MemoryStore()
+    store.append(FULL, base)
+    for delta in deltas:
+        store.append(INCREMENTAL, delta)
+    before = store.epochs()
+    with pytest.raises(RestoreError) as compacting:
+        compact(store)
+    assert str(compacting.value) == str(caught.value)
+    assert store.epochs() == before
     return str(caught.value)
 
 

@@ -2,6 +2,9 @@
 
 import json
 import os
+import shutil
+import struct
+import zlib
 
 import pytest
 
@@ -10,13 +13,17 @@ from repro.core.errors import StorageError
 from repro.core.restore import structurally_equal
 from repro.core.retry import RetryPolicy
 from repro.core.storage import (
+    CORRUPT,
     FULL,
     INCREMENTAL,
+    INTACT,
     AppendReceipt,
     Epoch,
     FileStore,
     MemoryStore,
     RetryingStore,
+    frame_crc,
+    read_frame,
 )
 from tests.conftest import build_root
 
@@ -36,6 +43,24 @@ def _persist_history(store):
     delta.checkpoint(root)
     store.append(INCREMENTAL, delta.getvalue())
     return root
+
+
+def _compress_epoch_file(path):
+    """Rewrite an epoch file as the zlib frame (kind code 2 or 3) that
+    older writers produced; readers must still take it."""
+    status, kind, payload, _ = read_frame(path)
+    assert status == INTACT
+    code = {FULL: 2, INCREMENTAL: 3}[kind]
+    packed = zlib.compress(payload, 6)
+    header = struct.pack(
+        "<4sBBII", b"RCKP", 2, code, len(packed), frame_crc(2, code, packed)
+    )
+    with open(path, "wb") as fh:
+        fh.write(header + packed)
+
+
+def _epoch_file(directory, index):
+    return os.path.join(directory, f"epoch-{index:06d}.ckpt")
 
 
 class TestMemoryStore:
@@ -199,7 +224,8 @@ class TestFileStore:
         store = FileStore(str(tmp_path / "ckpt"))
         _persist_history(store)
         path = os.path.join(store.directory, "epoch-000001.ckpt")
-        data = bytearray(open(path, "rb").read())
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
         data[-1] ^= 0xFF  # flip a payload bit -> CRC mismatch
         with open(path, "wb") as fh:
             fh.write(data)
@@ -213,7 +239,8 @@ class TestFileStore:
         store = FileStore(str(tmp_path / "ckpt"))
         root = _persist_history(store)
         path = os.path.join(store.directory, "epoch-000001.ckpt")
-        data = bytearray(open(path, "rb").read())
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
         assert data[5] == 1  # incremental
         data[5] = 0  # full
         with open(path, "wb") as fh:
@@ -231,7 +258,8 @@ class TestFileStore:
         root = _persist_history(store)
         for index in range(3):
             path = os.path.join(store.directory, f"epoch-{index:06d}.ckpt")
-            data = bytearray(open(path, "rb").read())
+            with open(path, "rb") as fh:
+                data = bytearray(fh.read())
             # rewrite the header as the payload-only CRC frame of version 1
             payload = bytes(data[14:])
             data[:14] = struct.pack(
@@ -249,7 +277,8 @@ class TestFileStore:
         store = FileStore(str(tmp_path / "ckpt"))
         _persist_history(store)
         path = os.path.join(store.directory, "epoch-000000.ckpt")
-        data = bytearray(open(path, "rb").read())
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
         data[:4] = b"XXXX"
         with open(path, "wb") as fh:
             fh.write(data)
@@ -280,64 +309,65 @@ class TestFileStore:
     def test_stray_files_ignored(self, tmp_path):
         store = FileStore(str(tmp_path / "ckpt"))
         _persist_history(store)
-        open(os.path.join(store.directory, "epoch-junk.ckpt"), "w").close()
-        open(os.path.join(store.directory, "README"), "w").close()
+        for name in ("epoch-junk.ckpt", "README"):
+            with open(os.path.join(store.directory, name), "w"):
+                pass
         assert len(FileStore(store.directory).epochs()) == 3
+
+    def test_non_canonical_epoch_names_are_not_epochs(self, tmp_path):
+        # epoch-1.ckpt next to epoch-000001.ckpt is not a second epoch 1
+        store = FileStore(str(tmp_path / "ckpt"))
+        _persist_history(store)
+        stray = ("epoch-1.ckpt", "epoch-0000002.ckpt", "epoch-+00001.ckpt")
+        for name in stray:
+            shutil.copy(
+                _epoch_file(store.directory, 1),
+                os.path.join(store.directory, name),
+            )
+        assert [e.index for e in FileStore(store.directory).epochs()] == [0, 1, 2]
+        assert [e.index for e in store.epochs()] == [0, 1, 2]
 
 
 class TestCompressedFileStore:
+    """Compressed frames are no longer written, but old stores still read."""
+
     def test_roundtrip_with_compression(self, tmp_path):
-        store = FileStore(str(tmp_path / "ckpt"), compress=True)
-        root = _persist_history(store)
-        fresh = FileStore(str(tmp_path / "ckpt"))  # reader needs no flag
+        directory = str(tmp_path / "ckpt")
+        root = _persist_history(FileStore(directory))
+        for index in range(3):
+            _compress_epoch_file(_epoch_file(directory, index))
+        fresh = FileStore(directory)
         recovered = fresh.recover()[root._ckpt_info.object_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
-    def test_compression_shrinks_redundant_epochs(self, tmp_path):
-        import os
-
-        plain_dir = str(tmp_path / "plain")
-        packed_dir = str(tmp_path / "packed")
-        _persist_history(FileStore(plain_dir))
-        _persist_history(FileStore(packed_dir, compress=True))
-
-        def total(directory):
-            return sum(
-                os.path.getsize(os.path.join(directory, name))
-                for name in os.listdir(directory)
-                if name.endswith(".ckpt")
-            )
-
-        assert total(packed_dir) < total(plain_dir)
-
     def test_mixed_plain_and_compressed_chain(self, tmp_path):
         directory = str(tmp_path / "ckpt")
-        plain = FileStore(directory)
-        root = _persist_history(plain)  # plain epochs 0-2
-        packed = FileStore(directory, compress=True)
+        store = FileStore(directory)
+        root = _persist_history(store)  # plain epochs 0-2
         root.mid.leaf.value = 4242
         delta = Checkpoint()
         delta.checkpoint(root)
-        packed.append(INCREMENTAL, delta.getvalue())  # compressed epoch 3
+        store.append(INCREMENTAL, delta.getvalue())
+        _compress_epoch_file(_epoch_file(directory, 3))  # compressed epoch 3
         recovered = FileStore(directory).recover()[root._ckpt_info.object_id]
         assert recovered.mid.leaf.value == 4242
 
     def test_corrupt_compressed_payload_rejected(self, tmp_path):
-        import os
-        import struct
-        import zlib as _zlib
-
-        store = FileStore(str(tmp_path / "ckpt"), compress=True)
+        store = FileStore(str(tmp_path / "ckpt"))
         _persist_history(store)
         # Craft a frame whose CRC matches garbage that fails to inflate.
         garbage = b"not-deflate-data"
         header = struct.pack(
-            "<4sBBII", b"RCKP", 1, 2, len(garbage), _zlib.crc32(garbage)
+            "<4sBBII", b"RCKP", 1, 2, len(garbage), zlib.crc32(garbage)
         )
-        with open(os.path.join(store.directory, "epoch-000001.ckpt"), "wb") as fh:
+        with open(_epoch_file(store.directory, 1), "wb") as fh:
             fh.write(header + garbage)
         fresh = FileStore(store.directory)
         assert [e.index for e in fresh.epochs()] == [0]
+        status, _, _, detail = read_frame(_epoch_file(store.directory, 1))
+        assert (status, detail) == (
+            CORRUPT, "CRC intact but deflate stream invalid"
+        )
 
 
 class TestFileStoreEpochCache:
@@ -389,11 +419,15 @@ class TestFileStoreEpochCache:
         assert calls["n"] == 1  # only the new file was read
 
     def test_cached_payload_is_decompressed(self, tmp_path):
-        store = FileStore(str(tmp_path / "ckpt"), compress=True)
+        store = FileStore(str(tmp_path / "ckpt"))
         root = _persist_history(store)
+        plain = store.epochs()
+        for index in range(3):
+            _compress_epoch_file(_epoch_file(store.directory, index))
         cold = FileStore(store.directory)
-        assert store.epochs() == cold.epochs()
-        recovered = store.recover()[root._ckpt_info.object_id]
+        assert cold.epochs() == plain
+        assert cold.epochs() == plain  # served from the verified cache
+        recovered = cold.recover()[root._ckpt_info.object_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_external_change_invalidates_entry(self, tmp_path):
@@ -477,21 +511,25 @@ class TestOrphanQuarantine:
         directory = str(tmp_path / "ckpt")
         os.makedirs(directory)
         orphan = os.path.join(directory, "epoch-000004.ckpt.tmp")
-        open(orphan, "wb").write(b"partial write")
+        with open(orphan, "wb") as fh:
+            fh.write(b"partial write")
         store = FileStore(directory)
         assert not os.path.exists(orphan)
         moved = os.path.join(store.quarantine_dir, "epoch-000004.ckpt.tmp")
         assert os.path.exists(moved)
         assert store.quarantined == [moved]
-        assert open(moved, "rb").read() == b"partial write"
+        with open(moved, "rb") as fh:
+            assert fh.read() == b"partial write"
 
     def test_quarantine_collisions_get_suffixes(self, tmp_path):
         directory = str(tmp_path / "ckpt")
         os.makedirs(directory)
         name = "epoch-000001.ckpt.tmp"
-        open(os.path.join(directory, name), "wb").write(b"first")
+        with open(os.path.join(directory, name), "wb") as fh:
+            fh.write(b"first")
         FileStore(directory)
-        open(os.path.join(directory, name), "wb").write(b"second")
+        with open(os.path.join(directory, name), "wb") as fh:
+            fh.write(b"second")
         store = FileStore(directory)
         quarantined = sorted(os.listdir(store.quarantine_dir))
         assert quarantined == [name, f"{name}.0"]
@@ -506,9 +544,8 @@ class TestOrphanQuarantine:
         directory = str(tmp_path / "ckpt")
         store = FileStore(directory)
         store.append(FULL, b"base")
-        open(os.path.join(directory, "epoch-000001.ckpt.tmp"), "wb").write(
-            b"torn"
-        )
+        with open(os.path.join(directory, "epoch-000001.ckpt.tmp"), "wb") as fh:
+            fh.write(b"torn")
         reopened = FileStore(directory)
         # The orphan index is reusable: nothing durable occupies it.
         assert reopened.append(INCREMENTAL, b"delta") == 1

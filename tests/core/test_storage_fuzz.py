@@ -49,7 +49,8 @@ class TestCorruptionFuzz:
         store, root, digests = _write_history(directory)
 
         path = os.path.join(directory, f"epoch-{epoch:06d}.ckpt")
-        data = bytearray(open(path, "rb").read())
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
         offset = offset % len(data)
         # Overwrite in place only (appended trailing junk after the frame
         # is legitimately ignored by the frame-length-based reader).
@@ -83,7 +84,8 @@ class TestCorruptionFuzz:
         directory = str(tmp_path_factory.mktemp("trunc"))
         store, root, digests = _write_history(directory)
         path = os.path.join(directory, "epoch-000003.ckpt")
-        data = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            data = handle.read()
         with open(path, "wb") as handle:
             handle.write(data[: max(0, len(data) - cut)])
         fresh = FileStore(directory)

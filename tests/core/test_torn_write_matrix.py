@@ -50,7 +50,8 @@ def test_truncation_at_every_boundary(tmp_path):
     expected = reference_fingerprint(directory, tmp_path)
 
     path = last_epoch_path(directory)
-    original = open(path, "rb").read()
+    with open(path, "rb") as handle:
+        original = handle.read()
     size = len(original)
     assert size > _HEADER.size + 32
 

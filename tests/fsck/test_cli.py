@@ -20,8 +20,10 @@ def make_dir(tmp_path, epochs=3):
 
 def tear(directory, index, keep):
     path = os.path.join(directory, f"epoch-{index:06d}.ckpt")
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:keep])
+    with open(path, "rb") as handle:
+        data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(data[:keep])
 
 
 class TestExitCodes:

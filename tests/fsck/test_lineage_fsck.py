@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import ManifestVersionError
-from repro.core.storage import FULL, FileStore, MemoryStore
+from repro.core.storage import FULL, INCREMENTAL, FileStore, MemoryStore
 from repro.fsck.cli import main
 from repro.fsck.manager import RecoveryManager
 
@@ -86,6 +86,28 @@ class TestOrphanBranch:
     def test_cli_exits_one(self, fixture_tool, tmp_path):
         directory, _ = build(fixture_tool, tmp_path, "orphan-branch")
         assert main([directory], out=io.StringIO()) == 1
+
+    def test_branch_with_a_durable_epoch_is_not_orphaned(self, tmp_path):
+        # side: delta 2 (lost), delta 3 (stranded), full 4 (durable)
+        directory = str(tmp_path / "ckpt")
+        store = FileStore(directory)
+        store.append(FULL, b"base")
+        store.append(INCREMENTAL, b"main")
+        store.append(INCREMENTAL, b"side 1", parent=1, branch="side")
+        store.append(INCREMENTAL, b"side 2", branch="side")
+        store.append(FULL, b"side 3", branch="side")
+        os.remove(os.path.join(directory, "epoch-000002.ckpt"))
+        report = RecoveryManager(directory).scan()
+        assert report.branches == {"main": 1, "side": 4}
+        assert report.orphan_branches == []
+        assert report.durable_epochs == [0, 1, 4]
+        [stranded] = report.by_status("unreachable")
+        assert stranded.name == "epoch-000003.ckpt"
+        assert "orphan" not in stranded.detail
+        assert not report.consistent
+        repaired = RecoveryManager(directory).repair()
+        assert repaired.consistent
+        assert repaired.durable_epochs == [0, 1, 4]
 
 
 def skewed_stores(fixture_tool, tmp_path):

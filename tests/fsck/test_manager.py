@@ -28,13 +28,18 @@ def make_dir(tmp_path, epochs=4):
 
 def damage(directory, index, mutate):
     path = os.path.join(directory, f"epoch-{index:06d}.ckpt")
-    data = bytearray(open(path, "rb").read())
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
     mutate(path, data)
 
 
-def truncate_to(path, data, keep):
+def write_file(path, data):
     with open(path, "wb") as handle:
-        handle.write(bytes(data[:keep]))
+        handle.write(bytes(data))
+
+
+def truncate_to(path, data, keep):
+    write_file(path, data[:keep])
 
 
 class TestScanHealthy:
@@ -76,7 +81,7 @@ class TestScanDamage:
 
         def clobber(path, data):
             data[0:4] = b"NOPE"
-            open(path, "wb").write(bytes(data))
+            write_file(path, data)
 
         damage(directory, 1, clobber)
         report = RecoveryManager(directory).scan()
@@ -88,7 +93,7 @@ class TestScanDamage:
 
         def flip(path, data):
             data[-1] ^= 0xFF
-            open(path, "wb").write(bytes(data))
+            write_file(path, data)
 
         damage(directory, 2, flip)
         report = RecoveryManager(directory).scan()
@@ -101,7 +106,7 @@ class TestScanDamage:
 
         def relabel(path, data):
             data[5] = 0  # the kind byte: incremental -> full
-            open(path, "wb").write(bytes(data))
+            write_file(path, data)
 
         damage(directory, 1, relabel)
         report = RecoveryManager(directory).scan()
@@ -130,18 +135,27 @@ class TestScanDamage:
 
     def test_orphan_tmp_detected(self, tmp_path):
         directory, _ = make_dir(tmp_path)
-        open(os.path.join(directory, "epoch-000009.ckpt.tmp"), "wb").write(
-            b"partial"
-        )
+        write_file(os.path.join(directory, "epoch-000009.ckpt.tmp"), b"partial")
         report = RecoveryManager(directory).scan()
         assert len(report.by_status(ORPHAN_TMP)) == 1
         assert not report.consistent
 
     def test_foreign_files_noted_but_harmless(self, tmp_path):
         directory, _ = make_dir(tmp_path)
-        open(os.path.join(directory, "notes.txt"), "w").write("hi")
+        write_file(os.path.join(directory, "notes.txt"), b"hi")
         report = RecoveryManager(directory).scan()
         assert len(report.by_status(FOREIGN)) == 1
+        assert report.consistent
+
+    def test_non_canonical_epoch_name_is_foreign(self, tmp_path):
+        directory, _ = make_dir(tmp_path)
+        with open(os.path.join(directory, "epoch-000001.ckpt"), "rb") as handle:
+            write_file(os.path.join(directory, "epoch-1.ckpt"), handle.read())
+        report = RecoveryManager(directory).scan()
+        assert report.durable_epochs == [0, 1, 2, 3]
+        assert [(e.name, e.index) for e in report.by_status(FOREIGN)] == [
+            ("epoch-1.ckpt", None)
+        ]
         assert report.consistent
 
     def test_delta_only_store_is_not_recoverable(self, tmp_path):
@@ -154,7 +168,7 @@ class TestScanDamage:
 
     def test_bad_manifest_reported(self, tmp_path):
         directory, _ = make_dir(tmp_path)
-        open(os.path.join(directory, "manifest.json"), "w").write("{not json")
+        write_file(os.path.join(directory, "manifest.json"), b"{not json")
         report = RecoveryManager(directory).scan()
         assert not report.manifest_ok
 
@@ -163,9 +177,7 @@ class TestRepair:
     def damage_everything(self, tmp_path):
         directory, _ = make_dir(tmp_path)
         damage(directory, 2, lambda path, data: truncate_to(path, data, 20))
-        open(os.path.join(directory, "epoch-000009.ckpt.tmp"), "wb").write(
-            b"partial"
-        )
+        write_file(os.path.join(directory, "epoch-000009.ckpt.tmp"), b"partial")
         return directory
 
     def test_repair_quarantines_and_restores_consistency(self, tmp_path):
@@ -191,7 +203,8 @@ class TestRepair:
         names = sorted(os.listdir(qdir))
         assert "epoch-000002.ckpt" in names
         assert "epoch-000009.ckpt.tmp" in names
-        data = open(os.path.join(qdir, "epoch-000002.ckpt"), "rb").read()
+        with open(os.path.join(qdir, "epoch-000002.ckpt"), "rb") as handle:
+            data = handle.read()
         assert len(data) == 20  # the torn bytes, moved not deleted
 
     def test_custom_quarantine_dir(self, tmp_path):

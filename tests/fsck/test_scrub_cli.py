@@ -113,8 +113,10 @@ class TestScrub:
         # tear a file so a plain scan would flag it; the scrub rewrites
         # it from the quorum first, so the per-replica report is clean
         path = os.path.join(dirs[0], "epoch-000002.ckpt")
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[: len(data) // 2])
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
         out = io.StringIO()
         code = main(dirs + ["--scrub", "--json"], out=out)
         payload = json.loads(out.getvalue())
@@ -129,7 +131,8 @@ class TestReplicaFixtureTool:
         assert damage["replicas"] == ["r0", "r1", "r2"]
         modes = {entry["mode"] for entry in damage["seeded"]}
         assert modes == {"diverged-record", "missing-epoch", "stale-manifest"}
-        on_disk = json.load(open(os.path.join(out_dir, "damage.json")))
+        with open(os.path.join(out_dir, "damage.json")) as handle:
+            on_disk = json.load(handle)
         assert on_disk == damage
 
     def test_scrub_repairs_exactly_the_seeded_damage(

@@ -69,7 +69,8 @@ def build_fixture(directory: str, epochs: int = 8) -> dict:
 
     # Silent corruption: one flipped bit in a middle epoch's payload.
     flipped = epoch_path(epochs // 2)
-    data = bytearray(open(flipped, "rb").read())
+    with open(flipped, "rb") as handle:
+        data = bytearray(handle.read())
     data[-1] ^= 0x10
     with open(flipped, "wb") as handle:
         handle.write(bytes(data))
