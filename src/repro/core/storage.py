@@ -603,11 +603,15 @@ class FileStore(CheckpointStore):
         manifest-v1 store written before lineage existed — get implied
         linear lineage when read.
         """
+        present = [index for index, _ in self._epoch_files()]
         try:
             manifest = read_manifest(self.directory)
         except (OSError, ValueError):
-            return  # fresh store, or damage _serial_translation reports
-        present = [index for index, _ in self._epoch_files()]
+            # fresh store, or damage _serial_translation reports: the
+            # epochs on disk read as implied-linear, so the branch tips
+            # must too, or the next AUTO append gets no parent
+            self._rebuild_maps(present)
+            return
         lineage = manifest_lineage(manifest)
         self._lineage = {i: lineage[i] for i in present if i in lineage}
         self._rebuild_maps(present)

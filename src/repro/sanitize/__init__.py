@@ -280,12 +280,17 @@ class Sanitizer:
             _tls.in_sanitizer = False
 
     def violation_keys(self) -> Set[Tuple[str, str]]:
-        """``(class, field)`` pairs with a race verdict (crosscheck key)."""
+        """``(class, field)`` pairs with a race verdict (crosscheck key).
+
+        A lock-order inversion keys as ``(class, "<lock-order>")``, the
+        key the static pass gives a ``lock-order-inversion`` finding.
+        """
         with self._mutex:
             return {
-                (v.cls, v.field)
+                (v.cls, "<lock-order>")
+                if v.rule == "lock-order-inversion"
+                else (v.cls, v.field)
                 for v in self.violations
-                if v.rule == "unguarded-shared-write"
             }
 
     def forget_instance(self, obj) -> None:

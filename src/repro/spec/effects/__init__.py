@@ -31,6 +31,9 @@ flags at run time); this package implements the *static* one:
   and fails with a minimized write-site repro if a statically-quiescent
   position is ever dirtied. (Imported lazily — it drives the runtime and
   the analysis engine, which themselves import this package.)
+- :mod:`repro.spec.effects.cli` — the one command-line driver of the
+  race (``concurrency``) and alias (``aliasing``) passes: static mode
+  and the static ⊇ dynamic crosscheck over each pass's declaration.
 
 The CLI front-end lives in :mod:`repro.lint`.
 """

@@ -7,9 +7,7 @@ Static mode (the default)::
 analyzes the given files/directories and prints the alias findings
 (writes that bypass the modified flag, subtrees attached under two
 recorded roots, references escaping the recorded graph, thread
-captures) plus the escape sites. Exit status 1 when any error-severity
-finding is present, 2 on usage errors — the same contract as
-``python -m repro.lint``.
+captures) plus the escape sites.
 
 Crosscheck mode::
 
@@ -21,30 +19,23 @@ fixture's workload with a shadow-heap dirtiness oracle
 (:class:`~repro.sanitize.oracle.ShadowHeapOracle`) attached to the
 session, and also drives the real runtime — the analysis engine, the
 synthetic benchmark population, and a commit/restore session cycle —
-woven (``weave_runtime``) and oracle-checked.  Every unflagged
-mutation the oracle observes must correspond to a rule the static pass
-already reported for that fixture; a dynamic-only violation means the
-analysis has a false negative and the command exits 1.  (The reverse
-direction — static findings the workload never trips — is expected:
-static analysis over-approximates reachable aliasing.)
+woven (``weave_runtime``) and oracle-checked. A fixture's unflagged
+mutations are predicted when the static pass reported the fixture's
+seeded rule; the runtime discipline is supposed to be airtight, so any
+unflagged mutation in a runtime workload is a soundness escape outright.
+
+The argument parser, the exit codes and the crosscheck loop are the
+shared driver's (:mod:`repro.spec.effects.cli`); this module declares
+only what is particular to the alias pass.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib.util
 import json
-import sys
-import tempfile
-from pathlib import Path
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from repro.lint.findings import (
-    count_by_severity,
-    exit_code,
-    relativize_findings,
-    sort_findings,
-)
+from repro.lint.findings import count_by_severity, sort_findings
+from repro.spec.effects import cli
 from repro.spec.effects.aliasing import analyze_paths
 from repro.spec.effects.aliasing.escape import AliasReport
 from repro.spec.effects.suppress import relativize_sites
@@ -96,77 +87,20 @@ def _render_json(report: AliasReport) -> str:
     return json.dumps(payload, indent=2, default=list)
 
 
+def _relativize(report: AliasReport) -> None:
+    cli.relativize_report(report)
+    relativize_sites(report.escapes)
+
+
 # -- crosscheck -----------------------------------------------------------
 
 
-def _repo_root() -> Optional[Path]:
-    """The repository root, when running from a source checkout."""
-    here = Path(__file__).resolve()
-    for parent in here.parents:
-        if (parent / "tools" / "make_alias_fixture.py").is_file():
-            return parent
-    return None
+def _run_fixture(module, sanitizer):
+    """Run the fixture's session with the runtime woven; its oracle."""
+    from repro.sanitize import weave_runtime
 
-
-def _load_module(path: Path, name: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _static_codes(report: AliasReport) -> Set[str]:
-    """Rule codes the static pass reported (info excluded: not verdicts)."""
-    return {
-        f.code for f in report.findings if f.severity in ("error", "warning")
-    }
-
-
-def _run_fixture_crosscheck(out, seed: int) -> List[dict]:
-    """Generate + run the seeded alias fixtures; one row per fixture.
-
-    The comparison key is the fixture's seeded rule: the static pass
-    must report that rule for the fixture file, and any unflagged
-    mutation the oracle observes at runtime counts as escaped unless
-    the rule was statically predicted.
-    """
-    from repro.sanitize import Sanitizer, unweave_all, weave_runtime
-
-    root = _repo_root()
-    if root is None:
-        out("crosscheck: tools/make_alias_fixture.py not found "
-            "(not a source checkout); skipping fixture workloads")
-        return []
-    make_alias_fixture = _load_module(
-        root / "tools" / "make_alias_fixture.py", "make_alias_fixture"
-    )
-    rows: List[dict] = []
-    with tempfile.TemporaryDirectory(prefix="alias-fixtures-") as tmp:
-        manifest = make_alias_fixture.generate(tmp, seed=seed)
-        for entry in manifest:
-            path = Path(tmp) / entry["file"]
-            static = _static_codes(analyze_paths([str(path)]))
-            dynamic: Set[Tuple[str, str]] = set()
-            if entry["runnable"]:
-                module = _load_module(path, f"alias_fixture_{path.stem}")
-                sanitizer = Sanitizer()
-                try:
-                    weave_runtime(sanitizer)
-                    oracle = module.run()
-                finally:
-                    unweave_all()
-                dynamic = oracle.violation_keys()
-            predicted = entry["rule"] in static
-            rows.append(
-                {
-                    "workload": f"fixture:{path.stem}",
-                    "static": static,
-                    "dynamic": dynamic,
-                    "escaped": set() if predicted else dynamic,
-                    "static_miss": None if predicted else entry["rule"],
-                }
-            )
-    return rows
+    weave_runtime(sanitizer)
+    return module.run()
 
 
 def _runtime_workloads() -> List[Tuple[str, "callable"]]:
@@ -260,117 +194,29 @@ def _runtime_workloads() -> List[Tuple[str, "callable"]]:
     ]
 
 
-def _run_runtime_crosscheck(out, src_static: Set[str]) -> List[dict]:
-    from repro.sanitize import Sanitizer, unweave_all, weave_runtime
-
-    rows: List[dict] = []
-    for name, workload in _runtime_workloads():
-        sanitizer = Sanitizer()
-        try:
-            weave_runtime(sanitizer)
-            oracle = workload()
-        finally:
-            unweave_all()
-        dynamic = oracle.violation_keys()
-        rows.append(
-            {
-                "workload": name,
-                "static": src_static,
-                "dynamic": dynamic,
-                # the runtime discipline is supposed to be airtight: any
-                # unflagged mutation here is a soundness escape outright
-                "escaped": dynamic,
-                "static_miss": None,
-            }
-        )
-    return rows
-
-
-def _crosscheck(out, seed: int, src_paths: List[str]) -> int:
-    rows = _run_fixture_crosscheck(out, seed)
-    src_static = _static_codes(analyze_paths(src_paths))
-    rows.extend(_run_runtime_crosscheck(out, src_static))
-    failures = 0
-    for row in rows:
-        escaped = row["escaped"]
-        if row["static_miss"]:
-            verdict = "STATIC-MISS"
-        elif escaped:
-            verdict = "DYNAMIC-ONLY"
-        else:
-            verdict = "ok"
-        out(
-            f"{row['workload']}: static={len(row['static'])} "
-            f"dynamic={len(row['dynamic'])} -> {verdict}"
-        )
-        if row["static_miss"]:
-            failures += 1
-            out(
-                f"  seeded rule never reported: {row['static_miss']} "
-                "(the analysis missed the planted bug)"
-            )
-        for cls, field in sorted(escaped):
-            failures += 1
-            out(
-                f"  escaped the static analysis: {cls}.{field} "
-                "(unflagged mutation observed, never flagged statically)"
-            )
-    out(
-        f"crosscheck: {len(rows)} workload(s), "
-        f"{failures} soundness hole(s) "
-        f"({'static ⊇ dynamic holds' if not failures else 'SOUNDNESS HOLE'})"
-    )
-    return 1 if failures else 0
+ALIASES = cli.AnalysisPass(
+    name="aliasing",
+    description="static escape/alias analysis (and its dynamic crosscheck)",
+    analyze_paths=analyze_paths,
+    render_human=_render_human,
+    render_json=_render_json,
+    hide_flag="--no-escapes",
+    hide_help="omit the escape-site list from human output",
+    fixture_tool="make_alias_fixture.py",
+    run_fixture=_run_fixture,
+    static_keys=cli.reported_rules,
+    # a reported seeded rule predicts its fixture's mutations; with no
+    # seeded rule (a runtime workload) every mutation escapes
+    escaped=lambda static, dynamic, rule: set() if rule in static else dynamic,
+    runtime_workloads=_runtime_workloads,
+    escape_note="unflagged mutation observed, never flagged statically",
+    failure_noun="soundness hole(s)",
+    relativize=_relativize,
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.spec.effects.aliasing",
-        description="static escape/alias analysis (and its dynamic crosscheck)",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=("human", "json"), default="human"
-    )
-    parser.add_argument(
-        "--no-escapes",
-        action="store_true",
-        help="omit the escape-site list from human output",
-    )
-    parser.add_argument(
-        "--crosscheck",
-        action="store_true",
-        help="run oracle-checked workloads and require static ⊇ dynamic",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="fixture-generation seed for --crosscheck",
-    )
-    args = parser.parse_args(argv)
-
-    paths = args.paths or ["src/repro"]
-    if args.crosscheck:
-        return _crosscheck(print, args.seed, paths)
-
-    try:
-        report = analyze_paths(paths)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    relativize_findings(report.findings)
-    relativize_sites(report.suppressed)
-    relativize_sites(report.escapes)
-    if args.format == "json":
-        print(_render_json(report))
-    else:
-        print(_render_human(report, show_escapes=not args.no_escapes))
-    return exit_code(report.findings)
+    return cli.main(ALIASES, argv)
 
 
 if __name__ == "__main__":

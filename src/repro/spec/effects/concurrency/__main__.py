@@ -6,8 +6,6 @@ Static mode (the default)::
 
 analyzes the given files/directories as one program and prints the
 findings plus the proven guard table (which lock protects which field).
-Exit status 1 when any error-severity finding is present, 2 on usage
-errors — the same contract as ``python -m repro.lint``.
 
 Crosscheck mode::
 
@@ -15,37 +13,28 @@ Crosscheck mode::
 
 validates **static ⊇ dynamic**: it generates the seeded racy fixture
 programs (``tools/make_race_fixture.py``), runs each runnable fixture's
-threaded workload under the dynamic lockset sanitizer
-(:mod:`repro.sanitize`), and also drives the real runtime — store
-drain, ``flush()``/``close()`` racing ``append()``, concurrent session
-commits, id allocation — with the runtime classes woven.  Every
-violation the sanitizer observes must correspond to a field the static
-pass already flagged; a dynamic-only violation means the analysis has a
-false negative and the command exits 1.  (The reverse direction —
-static findings the workload never trips — is expected: static analysis
-over-approximates reachable interleavings.)
+threaded workload with its classes woven into the dynamic lockset
+sanitizer (:mod:`repro.sanitize`), and also drives the real runtime —
+store drain, ``flush()``/``close()`` racing ``append()``, concurrent
+session commits, id allocation — with the runtime classes woven. A
+sanitizer violation whose ``(class, field)`` key the static pass did
+not flag is a false negative.
+
+The argument parser, the exit codes and the crosscheck loop are the
+shared driver's (:mod:`repro.spec.effects.cli`); this module declares
+only what is particular to the race pass.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib.util
 import json
-import sys
-import tempfile
 import threading
-from pathlib import Path
 from typing import List, Optional, Set, Tuple
 
-from repro.lint.findings import (
-    count_by_severity,
-    exit_code,
-    relativize_findings,
-    sort_findings,
-)
+from repro.lint.findings import count_by_severity, sort_findings
+from repro.spec.effects import cli
 from repro.spec.effects.concurrency import analyze_paths
 from repro.spec.effects.concurrency.locks import ConcurrencyReport
-from repro.spec.effects.suppress import relativize_sites
 
 
 def _render_human(report: ConcurrencyReport, show_guards: bool) -> str:
@@ -115,24 +104,8 @@ def _render_json(report: ConcurrencyReport) -> str:
 # -- crosscheck -----------------------------------------------------------
 
 
-def _repo_root() -> Optional[Path]:
-    """The repository root, when running from a source checkout."""
-    here = Path(__file__).resolve()
-    for parent in here.parents:
-        if (parent / "tools" / "make_race_fixture.py").is_file():
-            return parent
-    return None
-
-
-def _load_module(path: Path, name: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _static_keys(report: ConcurrencyReport) -> Set[Tuple[str, str]]:
-    """Static verdict keys comparable with sanitizer violations."""
+    """Static verdict keys comparable with ``Sanitizer.violation_keys()``."""
     keys = set(report.unguarded_fields())
     for finding in report.findings:
         if finding.code == "lock-order-inversion" and finding.target:
@@ -140,60 +113,14 @@ def _static_keys(report: ConcurrencyReport) -> Set[Tuple[str, str]]:
     return keys
 
 
-def _dynamic_keys(sanitizer) -> Set[Tuple[str, str]]:
-    keys: Set[Tuple[str, str]] = set()
-    for violation in sanitizer.violations:
-        if violation.rule == "lock-order-inversion":
-            keys.add((violation.cls, "<lock-order>"))
-        else:
-            keys.add((violation.cls, violation.field))
-    return keys
+def _run_fixture(module, sanitizer) -> None:
+    """Weave the fixture's own classes and run its threads."""
+    from repro.sanitize import weave
 
-
-def _run_fixture_crosscheck(out, seed: int) -> List[dict]:
-    """Generate + run the racy fixtures; return one row per runnable."""
-    from repro.sanitize import Sanitizer, unweave_all, weave
-
-    root = _repo_root()
-    if root is None:
-        out("crosscheck: tools/make_race_fixture.py not found "
-            "(not a source checkout); skipping fixture workloads")
-        return []
-    make_race_fixture = _load_module(
-        root / "tools" / "make_race_fixture.py", "make_race_fixture"
-    )
-    rows: List[dict] = []
-    with tempfile.TemporaryDirectory(prefix="race-fixtures-") as tmp:
-        manifest = make_race_fixture.generate(tmp, seed=seed)
-        for entry in manifest:
-            path = Path(tmp) / entry["file"]
-            static = _static_keys(analyze_paths([str(path)]))
-            dynamic: Set[Tuple[str, str]] = set()
-            if entry["runnable"]:
-                module = _load_module(path, f"race_fixture_{path.stem}")
-                sanitizer = Sanitizer()
-                woven = [
-                    obj
-                    for obj in vars(module).values()
-                    if isinstance(obj, type)
-                    and obj.__module__ == module.__name__
-                ]
-                try:
-                    for cls in woven:
-                        weave(cls, sanitizer)
-                    module.run()
-                finally:
-                    unweave_all()
-                dynamic = _dynamic_keys(sanitizer)
-            rows.append(
-                {
-                    "workload": f"fixture:{path.stem}",
-                    "static": static,
-                    "dynamic": dynamic,
-                    "escaped": dynamic - static,
-                }
-            )
-    return rows
+    for obj in list(vars(module).values()):
+        if isinstance(obj, type) and obj.__module__ == module.__name__:
+            weave(obj, sanitizer)
+    module.run()
 
 
 def _runtime_workloads() -> List[Tuple[str, "callable"]]:
@@ -272,104 +199,26 @@ def _runtime_workloads() -> List[Tuple[str, "callable"]]:
     ]
 
 
-def _run_runtime_crosscheck(out, src_static: Set[Tuple[str, str]]) -> List[dict]:
-    from repro.sanitize import Sanitizer, unweave_all, weave_runtime
-
-    rows: List[dict] = []
-    for name, workload in _runtime_workloads():
-        sanitizer = Sanitizer()
-        try:
-            weave_runtime(sanitizer)
-            workload()
-        finally:
-            unweave_all()
-        dynamic = _dynamic_keys(sanitizer)
-        rows.append(
-            {
-                "workload": name,
-                "static": src_static,
-                "dynamic": dynamic,
-                "escaped": dynamic - src_static,
-            }
-        )
-    return rows
-
-
-def _crosscheck(out, seed: int, src_paths: List[str]) -> int:
-    rows = _run_fixture_crosscheck(out, seed)
-    src_report = analyze_paths(src_paths)
-    src_static = _static_keys(src_report)
-    rows.extend(_run_runtime_crosscheck(out, src_static))
-    failures = 0
-    for row in rows:
-        escaped = row["escaped"]
-        verdict = "ok" if not escaped else "DYNAMIC-ONLY"
-        out(
-            f"{row['workload']}: static={len(row['static'])} "
-            f"dynamic={len(row['dynamic'])} -> {verdict}"
-        )
-        for cls, field in sorted(escaped):
-            failures += 1
-            out(
-                f"  escaped the static analysis: {cls}.{field} "
-                "(observed at runtime, never flagged statically)"
-            )
-    out(
-        f"crosscheck: {len(rows)} workload(s), "
-        f"{failures} dynamic-only violation(s) "
-        f"({'static ⊇ dynamic holds' if not failures else 'SOUNDNESS HOLE'})"
-    )
-    return 1 if failures else 0
+RACES = cli.AnalysisPass(
+    name="concurrency",
+    description="static lockset/race analysis (and its dynamic crosscheck)",
+    analyze_paths=analyze_paths,
+    render_human=_render_human,
+    render_json=_render_json,
+    hide_flag="--no-guards",
+    hide_help="omit the guard table from human output",
+    fixture_tool="make_race_fixture.py",
+    run_fixture=_run_fixture,
+    static_keys=_static_keys,
+    escaped=lambda static, dynamic, rule: dynamic - static,
+    runtime_workloads=_runtime_workloads,
+    escape_note="observed at runtime, never flagged statically",
+    failure_noun="dynamic-only violation(s)",
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.spec.effects.concurrency",
-        description="static lockset/race analysis (and its dynamic crosscheck)",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=("human", "json"), default="human"
-    )
-    parser.add_argument(
-        "--no-guards",
-        action="store_true",
-        help="omit the guard table from human output",
-    )
-    parser.add_argument(
-        "--crosscheck",
-        action="store_true",
-        help="run threaded workloads under the sanitizer and require "
-        "static ⊇ dynamic",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="fixture-generation seed for --crosscheck",
-    )
-    args = parser.parse_args(argv)
-
-    paths = args.paths or ["src/repro"]
-    if args.crosscheck:
-        return _crosscheck(print, args.seed, paths)
-
-    try:
-        report = analyze_paths(paths)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    relativize_findings(report.findings)
-    relativize_sites(report.suppressed)
-    if args.format == "json":
-        print(_render_json(report))
-    else:
-        print(_render_human(report, show_guards=not args.no_guards))
-    return exit_code(report.findings)
+    return cli.main(RACES, argv)
 
 
 if __name__ == "__main__":

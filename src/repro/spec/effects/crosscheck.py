@@ -32,8 +32,6 @@ this module must stay out of :mod:`repro.spec.effects`'s eager imports.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
@@ -46,6 +44,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.streams import DataOutputStream
 from repro.spec.effects.analysis import EffectReport, analyze_effects
+from repro.spec.effects.cli import load_module
 from repro.spec.effects.soundness import check_pattern
 from repro.spec.effects.wholeprogram import infer_phases
 from repro.spec.modpattern import ModificationPattern
@@ -483,19 +482,6 @@ def _synthetic_phase_source(config, eligible) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_phase_module(source: str, tag: str):
-    directory = FsPath(tempfile.mkdtemp(prefix="repro_crosscheck_"))
-    file = directory / f"workload_{tag}.py"
-    file.write_text(source, encoding="utf-8")
-    spec = importlib.util.spec_from_file_location(
-        f"_repro_crosscheck_{tag}", file
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 #: the three pattern families of the paper's synthetic evaluation
 SYNTHETIC_PRESETS: Dict[str, dict] = {
     "uniform": dict(num_structures=24, num_lists=3, list_length=3),
@@ -528,13 +514,19 @@ def crosscheck_synthetic(
         scenario = f"synthetic:{name}"
         result = CrosscheckResult(scenario=scenario)
         workload = SyntheticWorkload(SyntheticConfig(**kwargs))
-        module = _load_phase_module(
-            _synthetic_phase_source(workload.config, workload.eligible),
-            name.replace("-", "_"),
-        )
-        report = analyze_effects(
-            workload.shape, [module.mutate], roots=["root"]
-        )
+        tag = name.replace("-", "_")
+        # the analysis reads the phase's source, so the file lives until
+        # the report is built
+        with tempfile.TemporaryDirectory(prefix="repro_crosscheck_") as tmp:
+            file = FsPath(tmp) / f"workload_{tag}.py"
+            file.write_text(
+                _synthetic_phase_source(workload.config, workload.eligible),
+                encoding="utf-8",
+            )
+            module = load_module(file, f"_repro_crosscheck_{tag}")
+            report = analyze_effects(
+                workload.shape, [module.mutate], roots=["root"]
+            )
 
         verdict = check_pattern(workload.pattern, report)
         result.checks += 1
@@ -594,7 +586,7 @@ def crosscheck_synthetic(
         workload.snapshot.restore()
         roots = workload.structures[:sample]
         expected = _checking_bytes(roots)
-        actual = _inferred_bytes(report, f"crosscheck_{name.replace('-', '_')}", roots)
+        actual = _inferred_bytes(report, f"crosscheck_{tag}", roots)
         result.checks += 1
         if expected != actual:
             result.counterexamples.append(

@@ -306,6 +306,33 @@ class TestFileStore:
         with pytest.raises(StorageError, match="corrupt manifest"):
             FileStore(store.directory).recover()
 
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_append_after_a_lost_manifest_extends_the_chain(
+        self, tmp_path, damage
+    ):
+        # the epochs read as implied-linear, so the next AUTO append
+        # must take the newest one as its parent, not start a new root
+        store = FileStore(str(tmp_path / "ckpt"))
+        root = _persist_history(store)
+        if damage == "missing":
+            os.remove(store.manifest_path)
+        else:
+            with open(store.manifest_path, "w") as fh:
+                fh.write("{not json")
+        reopened = FileStore(store.directory)
+        root.mid.leaf.value = 5
+        delta = Checkpoint()
+        delta.checkpoint(root)
+        reopened.append(INCREMENTAL, delta.getvalue())
+        assert [(e.index, e.parent) for e in reopened.epochs()] == [
+            (0, None),
+            (1, 0),
+            (2, 1),
+            (3, 2),
+        ]
+        recovered = reopened.recover()[root._ckpt_info.object_id]
+        assert structurally_equal(root, recovered, compare_ids=True)
+
     def test_stray_files_ignored(self, tmp_path):
         store = FileStore(str(tmp_path / "ckpt"))
         _persist_history(store)

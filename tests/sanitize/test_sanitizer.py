@@ -119,6 +119,8 @@ class TestEraserStates:
         assert [v.rule for v in sanitizer.violations] == [
             "lock-order-inversion"
         ]
+        # keyed as the static pass keys a lock-order-inversion finding
+        assert sanitizer.violation_keys() == {("Two", "<lock-order>")}
 
     def test_id_reuse_does_not_leak_state_across_instances(self):
         Racy = make_racy()

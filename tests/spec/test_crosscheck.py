@@ -8,6 +8,8 @@ flow-insensitive analysis genuinely cannot attribute. The harness must
 catch it dynamically and minimize the repro to the offending function.
 """
 
+import tempfile
+
 import pytest
 
 from repro.spec import Shape
@@ -132,3 +134,13 @@ class TestSyntheticCrosscheck:
         assert result.scenario == "synthetic:tiny"
         assert result.ok
         assert result.checks > 0
+
+    def test_no_phase_file_outlives_its_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        crosscheck_synthetic(
+            presets={
+                "tiny": dict(num_structures=4, num_lists=2, list_length=2)
+            },
+            sample=2,
+        )
+        assert list(tmp_path.iterdir()) == []
