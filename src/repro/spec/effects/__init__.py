@@ -19,9 +19,14 @@ flags at run time); this package implements the *static* one:
 - :mod:`repro.spec.effects.residual` — a verifier over the residual IR the
   specializer emits, asserting well-formedness and the key "no dropped
   subtree" property. It runs on every compiled specialization.
+- :mod:`repro.spec.effects.interp` — the one abstract interpreter the
+  effect analysis and the alias analysis run on: statement and
+  expression walkers, argument binding, a recursion and call-depth
+  guard, and call summaries replayed from the one summary cache.
 - :mod:`repro.spec.effects.callgraph` — the whole-program machinery: a
   code-hash-keyed source cache, the cross-module call graph, and
-  per-function effect summaries memoized by argument signature.
+  the summary cache (per-function summaries memoized by argument
+  signature).
 - :mod:`repro.spec.effects.wholeprogram` — phase inference: discover
   ``session.commit()`` sites in a driver, segment it into inter-commit
   regions, and emit one proven :class:`~repro.spec.modpattern.ModificationPattern`

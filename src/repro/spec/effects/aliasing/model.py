@@ -24,6 +24,7 @@ programs and unimportable modules analyze fine.
 from __future__ import annotations
 
 import ast
+import hashlib
 from typing import Dict, List, Optional, Set
 
 from repro.spec.effects.suppress import ALIAS_OK, Suppressions
@@ -81,6 +82,10 @@ class AliasModule:
 
     def __init__(self, filename: str, source: str) -> None:
         self.filename = filename
+        #: identity of the text every fact below was extracted from
+        self.digest = hashlib.sha1(
+            source.encode("utf-8", "surrogatepass")
+        ).hexdigest()[:16]
         self.classes: Dict[str, RecordedClass] = {}
         #: every class defined in the module (recorded or not), by name
         self.all_class_names: Set[str] = set()

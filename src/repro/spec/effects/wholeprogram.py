@@ -40,18 +40,17 @@ from __future__ import annotations
 
 import ast
 import types
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.errors import EffectAnalysisError
 from repro.spec.effects.analysis import (
     EMPTY,
-    Abs,
     EffectAnalyzer,
     EffectReport,
-    _Frame,
     _label_of,
 )
 from repro.spec.effects.callgraph import CallGraph, SummaryCache
+from repro.spec.effects.interp import Frame
 from repro.spec.modpattern import ModificationPattern
 from repro.spec.shape import Shape
 
@@ -302,22 +301,7 @@ def _merge_phases(
     for phase in phases:
         stmts.extend(phase.region.stmts)
         sites.extend(phase.region.sites)
-        for path, path_sites in phase.report.sites.items():
-            for site in path_sites:
-                merged.add(path, site)
-        for site in phase.report.fallbacks:
-            if not any(
-                f.filename == site.filename and f.lineno == site.lineno
-                for f in merged.fallbacks
-            ):
-                merged.fallbacks.append(site)
-        for site in phase.report.cautions:
-            if not any(
-                c.filename == site.filename and c.lineno == site.lineno
-                and c.reason == site.reason
-                for c in merged.cautions
-            ):
-                merged.cautions.append(site)
+        merged.merge(phase.report)
     region = PhaseRegion(label, "interval", stmts, sites)
     return InferredPhase(region, merged, shape)
 
@@ -434,7 +418,11 @@ def _segment_regions(
 
 
 class _ProgramAnalyzer(EffectAnalyzer):
-    """Effect analysis that understands session calls are not escapes."""
+    """Effect analysis of a driver: session calls are not escapes.
+
+    The driver's regions are swept in program order, each into its own
+    report, with one abstract environment flowing across all of them.
+    """
 
     def __init__(
         self,
@@ -445,9 +433,37 @@ class _ProgramAnalyzer(EffectAnalyzer):
         session_names: Iterable[str] = (),
     ) -> None:
         super().__init__(shape, roots, summaries=summaries, callgraph=callgraph)
-        self.session_names = set(session_names)
+        self.session_names = frozenset(session_names)
+        self.reports: List[EffectReport] = []
 
-    def _method_call(self, func, arg_abs, kw_abs, node, frame):
+    def sweep(
+        self, regions: List[PhaseRegion], reports: List[EffectReport],
+        frame: Frame,
+    ) -> None:
+        """Analyse every region into its report, to a joint fixpoint.
+
+        Aliases bound before a commit widen the effects of every later
+        region (and, through loops around the commit sites, earlier
+        ones too).
+        """
+        self.reports = reports
+
+        def once() -> None:
+            for region, report in zip(regions, reports):
+                self.report = report
+                self.block(region.stmts, frame)
+
+        self._fixpoint(once, frame, self.shape.node_count() + len(regions) + 3)
+
+    def _watched(self) -> List[EffectReport]:
+        return self.reports
+
+    def summary_key(self, fdef, label):
+        # session calls are no-ops here and escapes elsewhere, so the
+        # session names are part of what a summary depends on
+        return (self.session_names,) + super().summary_key(fdef, label)
+
+    def _method_call(self, func, args, node, frame):
         receiver = func.value
         if (
             isinstance(receiver, ast.Name)
@@ -458,9 +474,9 @@ class _ProgramAnalyzer(EffectAnalyzer):
             # position — aliased arguments (e.g. base(roots=[root]))
             # do not escape.
             return EMPTY
-        return super()._method_call(func, arg_abs, kw_abs, node, frame)
+        return super()._method_call(func, args, node, frame)
 
-    def _constructor_call(self, target, arg_abs, kw_abs, node, frame):
+    def _constructor_call(self, target, args, node, frame):
         try:
             from repro.runtime.session import CheckpointSession
         except ImportError:  # pragma: no cover - layering guard
@@ -472,48 +488,7 @@ class _ProgramAnalyzer(EffectAnalyzer):
         ):
             # The session only ever *reads* the structures it is given.
             return EMPTY
-        return super()._constructor_call(target, arg_abs, kw_abs, node, frame)
-
-
-def _bind_driver(
-    fn: Callable,
-    fdef: ast.FunctionDef,
-    shape: Shape,
-    roots: Optional[Iterable[str]],
-    session_names: set,
-) -> Dict[str, Abs]:
-    """Bind root parameters of the driver, skipping session parameters."""
-    root_abs = Abs(objs=frozenset({()}))
-    env: Dict[str, Abs] = {}
-    params = [a.arg for a in fdef.args.args if a.arg not in session_names]
-    annotations = getattr(fn, "__annotations__", {})
-    root_cls = shape.root.cls
-    declared_roots = frozenset(roots or ())
-    bound = False
-    for name in params:
-        if name in declared_roots:
-            env[name] = root_abs
-            bound = True
-            continue
-        annotation = annotations.get(name)
-        matches = annotation is root_cls or (
-            isinstance(annotation, str) and annotation == root_cls.__name__
-        )
-        if matches:
-            env[name] = root_abs
-            bound = True
-    if not bound:
-        if "root" in params:
-            env["root"] = root_abs
-        elif len(params) == 1:
-            env[params[0]] = root_abs
-        else:
-            raise EffectAnalysisError(
-                f"cannot bind the shape root ({root_cls.__name__}) to a "
-                f"parameter of {fn.__qualname__}; annotate the root "
-                "parameter with the root class or pass roots=[name]"
-            )
-    return env
+        return super()._constructor_call(target, args, node, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -592,25 +567,14 @@ def infer_phases(
     )
     driver_label = _label_of(driver)
     callgraph.add_root(driver_label)
-    env = _bind_driver(driver, fdef, shape, roots, session_names)
-    frame = _Frame(env, filename, driver.__globals__, depth=0, label=driver_label)
+    env = analyzer._bind_root(driver, fdef, skip=session_names)
+    frame = Frame(env, EMPTY, driver_label, filename, fdef.lineno,
+                  globs=driver.__globals__)
     reports = [
         EffectReport(shape, [f"{driver.__name__}:{region.name}"])
         for region in regions
     ]
-
-    # One abstract environment flows across every region, re-swept until
-    # the whole program stabilises: aliases bound before a commit widen
-    # the effects of every later region (and, through loops around the
-    # commit sites, earlier ones too).
-    limit = shape.node_count() + len(regions) + 3
-    for _ in range(limit):
-        signature = _program_signature(frame, reports)
-        for region, report in zip(regions, reports):
-            analyzer.report = report
-            analyzer._run_stmts(region.stmts, frame)
-        if _program_signature(frame, reports) == signature:
-            break
+    analyzer.sweep(regions, reports, frame)
 
     phases = [
         InferredPhase(region, report, shape)
@@ -620,18 +584,3 @@ def infer_phases(
         driver_label, shape, phases, commit_sites, callgraph,
         analyzer.summaries,
     )
-
-
-def _program_signature(frame: _Frame, reports: List[EffectReport]) -> Tuple:
-    env_sig = tuple(
-        sorted((name, value.signature()) for name, value in frame.env.items())
-    )
-    report_sig = tuple(
-        (
-            sum(len(sites) for sites in report.sites.values()),
-            len(report.fallbacks),
-            len(report.cautions),
-        )
-        for report in reports
-    )
-    return (env_sig, frame.ret.signature(), report_sig)
