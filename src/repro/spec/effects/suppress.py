@@ -75,20 +75,20 @@ def suppression_lines(source: str, marker: str) -> Dict[int, str]:
 
 
 class Suppressions:
-    """The suppression decisions of one file, plus what they silenced.
+    """The suppression decisions of one file.
 
-    Passes ask :meth:`check` at each would-be finding site; a hit records
-    a :class:`SuppressedSite` and returns ``True`` (meaning: do not
-    report). ``def``-line suppression is handled by passing the
-    enclosing function's line as ``scope_lineno``.
+    Passes ask :meth:`reason_at` at each would-be finding site; a reason
+    means the site is silenced, and the pass records it as a
+    :class:`SuppressedSite` instead of reporting it. ``def``-line
+    suppression is handled by passing the enclosing function's line as
+    ``scope_lineno``.
     """
 
-    __slots__ = ("filename", "lines", "sites")
+    __slots__ = ("filename", "lines")
 
     def __init__(self, filename: str, source: str, marker: str) -> None:
         self.filename = filename
         self.lines = suppression_lines(source, marker)
-        self.sites: List[SuppressedSite] = []
 
     def reason_at(
         self, lineno: int, scope_lineno: Optional[int] = None
@@ -104,18 +104,6 @@ class Suppressions:
         if reason is None and scope_lineno is not None:
             reason = self.lines.get(scope_lineno)
         return reason
-
-    def check(
-        self, lineno: int, what: str, scope_lineno: Optional[int] = None
-    ) -> bool:
-        """Record and report whether the site at ``lineno`` is suppressed."""
-        reason = self.reason_at(lineno, scope_lineno)
-        if reason is None:
-            return False
-        self.sites.append(
-            SuppressedSite(self.filename, lineno, reason, what)
-        )
-        return True
 
 
 def relativize_sites(

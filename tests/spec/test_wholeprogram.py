@@ -62,6 +62,12 @@ def driver_escape(root: Root, session):
     session.commit(phase="fuzzy", roots=[root])
 
 
+def driver_unannotated_with_option(session, r, *, steps=3):
+    session.base(roots=[r])
+    r.mid.leaf.value = steps
+    session.commit(phase="step", roots=[r])
+
+
 class TestCommitSiteDiscovery:
     def test_sites_in_program_order(self, shape):
         report = infer_phases(shape, driver_basic, roots=["root"])
@@ -158,6 +164,13 @@ class TestProvenanceAndPrecision:
         assert not fuzzy.exact
         assert fuzzy.report.fallbacks
         assert {("mid",), ("mid", "leaf")} <= fuzzy.report.may_write
+
+    def test_lone_positional_root_beside_a_keyword_only_option(self, shape):
+        # session skipped, steps keyword-only: r is the lone root candidate
+        report = infer_phases(shape, driver_unannotated_with_option)
+        step = report.phase("step")
+        assert step.report.may_write == {("mid", "leaf")}
+        assert step.exact
 
     def test_unknown_phase_name_raises(self, shape):
         report = infer_phases(shape, driver_basic, roots=["root"])
